@@ -14,12 +14,11 @@
 
 use crate::{Context, DAY};
 use std::collections::BTreeMap;
-use ts_core::cdf::Cdf;
 use ts_core::groups::ServiceGroup;
 use ts_core::observations::{KexKind, KexSighting, TicketSighting};
 use ts_core::par::{for_each_shard, ShardPlan};
 use ts_core::report::{compare_line, pct, TextTable};
-use ts_core::stream::{GroupAcc, Merge, SpanAcc, TierAcc};
+use ts_core::stream::{CountCdf, GroupAcc, Merge, SpanAcc, TierAcc};
 use ts_core::tiers::tiers_for_population;
 use ts_scanner::daily::{run_campaign_streaming, CampaignOptions, CampaignSink};
 use ts_scanner::Scanner;
@@ -263,7 +262,7 @@ pub fn spans(campaign: &Campaign) -> &CampaignSpans {
 /// Figure 3: STEK lifetime CDF.
 pub struct Fig3 {
     /// CDF of per-domain maximum STEK spans (days).
-    pub cdf: Cdf,
+    pub cdf: CountCdf,
     /// Fraction of ticket issuers whose STEK never repeated across days.
     pub daily_fraction: f64,
     /// Fraction with spans ≥ 7 days.
@@ -278,8 +277,7 @@ pub struct Fig3 {
 pub fn fig3_stek_lifetime(ctx: &Context) -> Fig3 {
     let campaign = ctx.campaign();
     let s = spans(campaign);
-    let max_spans = s.stek.max_spans();
-    let cdf = Cdf::from_samples(max_spans);
+    let cdf = CountCdf::from_samples(s.stek.max_spans());
     let daily_fraction = cdf.fraction_le(1);
     let ge7 = cdf.fraction_ge(7);
     let ge30 = cdf.fraction_ge(30);
@@ -360,9 +358,9 @@ pub fn fig4_stek_by_rank(ctx: &Context) -> String {
 /// Figure 5: DHE and ECDHE reuse-span CDFs.
 pub struct Fig5 {
     /// DHE spans CDF (days), over DHE-connecting domains.
-    pub dhe_cdf: Cdf,
+    pub dhe_cdf: CountCdf,
     /// ECDHE spans CDF.
-    pub ecdhe_cdf: Cdf,
+    pub ecdhe_cdf: CountCdf,
     /// Rendered report.
     pub report: String,
 }
@@ -372,8 +370,8 @@ pub fn fig5_kex_reuse(ctx: &Context) -> Fig5 {
     let campaign = ctx.campaign();
     let s = spans(campaign);
     let denominator = ctx.core_trusted.len() as f64;
-    let dhe_cdf = Cdf::from_samples(s.dhe.max_spans());
-    let ecdhe_cdf = Cdf::from_samples(s.ecdhe.max_spans());
+    let dhe_cdf = CountCdf::from_samples(s.dhe.max_spans());
+    let ecdhe_cdf = CountCdf::from_samples(s.ecdhe.max_spans());
     let mut report = String::new();
     report.push_str("Figure 5 — Ephemeral Exchange Value Reuse (span CDFs)\n");
     let mut t = TextTable::new(&[

@@ -13,9 +13,9 @@
 //! prune retired keys out from under it nondeterministically.
 
 use crate::{parallel_map, Context, HOUR};
-use ts_core::cdf::Cdf;
 use ts_core::observations::{ResumptionMechanism, ResumptionProbe};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
+use ts_core::stream::CountCdf;
 use ts_population::Population;
 use ts_scanner::probe::ProbeSchedule;
 use ts_scanner::{GrabOptions, Scanner};
@@ -27,7 +27,7 @@ pub struct LifetimeFigure {
     /// All probes (supported or not).
     pub probes: Vec<ResumptionProbe>,
     /// CDF of max successful delays (resuming domains only), seconds.
-    pub cdf: Cdf,
+    pub cdf: CountCdf,
     /// Fraction of probed domains that indicated support.
     pub support_fraction: f64,
     /// Fraction that resumed at 1 s.
@@ -164,8 +164,7 @@ fn render(
     let total = probes.len().max(1);
     let supported = probes.iter().filter(|p| p.supported).count();
     let resumed = probes.iter().filter(|p| p.resumed_at_1s).count();
-    let delays: Vec<u64> = probes.iter().filter_map(|p| p.max_delay).collect();
-    let cdf = Cdf::from_samples(delays);
+    let cdf = CountCdf::from_samples(probes.iter().filter_map(|p| p.max_delay));
     let mut report = String::new();
     report.push_str(title);
     report.push('\n');
@@ -252,14 +251,14 @@ pub fn fig2_ticket_lifetime(ctx: &Context, schedule: &ProbeSchedule) -> Lifetime
         ],
     );
     // The advertised-hint series the figure overlays.
-    let hints: Vec<u64> = probes
-        .iter()
-        .filter_map(|p| p.lifetime_hint)
-        .filter(|&h| h > 0)
-        .map(|h| h as u64)
-        .collect();
+    let hint_cdf = CountCdf::from_samples(
+        probes
+            .iter()
+            .filter_map(|p| p.lifetime_hint)
+            .filter(|&h| h > 0)
+            .map(|h| h as u64),
+    );
     let unspecified = probes.iter().filter(|p| p.lifetime_hint == Some(0)).count();
-    let hint_cdf = Cdf::from_samples(hints);
     fig.report.push_str(&format!(
         "advertised hint: median {}, unspecified hints: {} domains (paper: 14,663 unspecified; \
          two domains hinted 90 days)\n",

@@ -4,6 +4,7 @@ use crate::{parallel_map, Context};
 use std::collections::BTreeMap;
 use ts_core::groups::{stats, top_groups, ServiceGroup};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
+use ts_core::stream::{GroupAcc, Merge};
 use ts_core::treemap::{build_cells, red_cells, LongevityBucket};
 use ts_scanner::crossdomain::{
     build_targets, dh_sharing_scan_streaming, session_cache_scan_streaming,
@@ -51,15 +52,16 @@ pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
     // overwhelmingly land in the same chunk — and the paper's method also
     // samples (≤5+5 per domain) rather than exhausting, so chunk-local
     // sampling tightens the same lower bound.
-    // Each chunk folds its own edges straight into a chunk-local
-    // union-find (edges are chunk-local by construction, see above); the
-    // shard structures then merge in fixed chunk order, which interns
-    // names and replays edges exactly as the old single global pass did.
-    let shard_sets = parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
+    // Each chunk links its own edges straight into a chunk-local group
+    // accumulator (edges are chunk-local by construction, see above); the
+    // shard accumulators then merge in fixed chunk order, which interns
+    // names in target order and closes the same partition a single global
+    // pass would.
+    let shard_accs = parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
         let mut scanner = Scanner::new(&pop, &format!("t5-{chunk_id}"));
-        let mut ds = ts_core::unionfind::DisjointSets::new();
+        let mut acc = GroupAcc::exact();
         for t in chunk {
-            ds.add(&t.domain);
+            acc.add(&t.domain);
         }
         session_cache_scan_streaming(
             &mut scanner,
@@ -67,15 +69,15 @@ pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
             86_400,
             5,
             |_| {},
-            |e| ds.union(&e.a, &e.b),
+            |e| acc.link(&e.a, &e.b),
         );
-        vec![ds]
+        vec![acc]
     });
-    let mut ds = ts_core::unionfind::DisjointSets::new();
-    for shard in shard_sets {
-        ds.merge(shard);
+    let mut acc = GroupAcc::exact();
+    for shard in shard_accs {
+        acc.merge(shard);
     }
-    let groups = ts_core::groups::finalize_groups(ds.groups());
+    let groups = acc.service_groups();
     let report = render_groups(
         "Table 5 — Largest Session Cache Service Groups",
         &groups,
@@ -97,7 +99,7 @@ pub fn table6_stek_groups(ctx: &Context) -> SharingResult {
     // Stream each connection round into an incremental group accumulator
     // instead of holding all eleven rounds of sightings at once: peak
     // memory is one round plus the live identifier index.
-    let mut acc = ts_core::stream::GroupAcc::exact();
+    let mut acc = GroupAcc::exact();
     for k in 0..=connections {
         // Connections 0..10 across the 6-hour window, plus the 30-minute
         // snapshot scan joined at the end (§5.2).
@@ -136,7 +138,7 @@ pub fn table7_dh_groups(ctx: &Context) -> SharingResult {
     let connections = 10u64;
     // Same per-round streaming as Table 6: rounds drain into the
     // accumulator as they complete.
-    let mut acc = ts_core::stream::GroupAcc::exact();
+    let mut acc = GroupAcc::exact();
     for k in 0..connections {
         let at = t0 + window * k / connections;
         let step: Vec<ts_core::observations::KexSighting> =

@@ -15,6 +15,7 @@
 
 use crate::{Context, DAY};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
+use ts_core::stream::CountCdf;
 use ts_crypto::drbg::HmacDrbg;
 use ts_tls::tls13::{
     attacker_recoverable, derive_resumption_secret, resume, PskIdentityKind, PskMode,
@@ -31,8 +32,8 @@ pub fn tls13_outlook(ctx: &Context) -> String {
     // span) vs its TLS 1.3 window (capped at 7 days), and what a PSK thief
     // gets under each key-establishment mode.
     let mut rng = HmacDrbg::from_seed_label(ctx.config.seed, "tls13-outlook");
-    let mut tls12_windows = Vec::new();
-    let mut tls13_windows = Vec::new();
+    let mut cdf12 = CountCdf::new();
+    let mut cdf13 = CountCdf::new();
     let mut psk_ke_falls = 0usize;
     let mut psk_dhe_traffic_falls = 0usize;
     let mut early_data_falls = 0usize;
@@ -40,8 +41,8 @@ pub fn tls13_outlook(ctx: &Context) -> String {
     for (domain, ds) in &stek_spans {
         let tls12_window = ds.max_span_days * DAY;
         let tls13_window = tls12_window.min(MAX_PSK_LIFETIME);
-        tls12_windows.push(tls12_window);
-        tls13_windows.push(tls13_window);
+        cdf12.add(tls12_window);
+        cdf13.add(tls13_window);
 
         // Model one recorded resumption per domain under each mode, with
         // 0-RTT on (the latency-driven default the paper worries about).
@@ -76,8 +77,6 @@ pub fn tls13_outlook(ctx: &Context) -> String {
         let _ = domain;
     }
 
-    let cdf12 = ts_core::cdf::Cdf::from_samples(tls12_windows);
-    let cdf13 = ts_core::cdf::Cdf::from_samples(tls13_windows);
     let mut report = String::new();
     report
         .push_str("§8.1 — TLS 1.3 PSK Outlook (measured STEK behaviour replayed under draft-15)\n");

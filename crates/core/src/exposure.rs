@@ -6,7 +6,7 @@
 //! contributes its own window; the domain's overall exposure is the
 //! maximum (§6.4).
 
-use crate::cdf::Cdf;
+use crate::stream::CountCdf;
 use std::collections::BTreeMap;
 
 /// Which shortcut created a window.
@@ -78,24 +78,6 @@ impl ExposureTable {
         *slot = Some(slot.map_or(window_secs, |cur| cur.max(window_secs)));
     }
 
-    /// Fold another table into this one — the shard-merge law for
-    /// exposure windows: per domain and mechanism, keep the maximum.
-    /// Associative and commutative, so shard merge order cannot matter.
-    pub fn merge(&mut self, other: ExposureTable) {
-        for (domain, e) in other.domains {
-            let mine = self.domains.entry(domain).or_default();
-            for (slot, theirs) in [
-                (&mut mine.ticket_window, e.ticket_window),
-                (&mut mine.cache_window, e.cache_window),
-                (&mut mine.dh_window, e.dh_window),
-            ] {
-                if let Some(w) = theirs {
-                    *slot = Some(slot.map_or(w, |cur| cur.max(w)));
-                }
-            }
-        }
-    }
-
     /// Look up one domain.
     pub fn get(&self, domain: &str) -> Option<&DomainExposure> {
         self.domains.get(domain)
@@ -112,13 +94,8 @@ impl ExposureTable {
     }
 
     /// The combined-exposure CDF over all recorded domains (Figure 8).
-    pub fn combined_cdf(&self) -> Cdf {
-        Cdf::from_samples(
-            self.domains
-                .values()
-                .filter_map(|e| e.max_window())
-                .collect(),
-        )
+    pub fn combined_cdf(&self) -> CountCdf {
+        CountCdf::from_samples(self.domains.values().filter_map(|e| e.max_window()))
     }
 
     /// Fractions exceeding the paper's headline thresholds:

@@ -1,18 +1,15 @@
-//! Service-group construction (§5, Tables 5–7).
+//! Service groups (§5, Tables 5–7): labelling, ordering and statistics.
 //!
-//! Three evidence sources, one output shape:
+//! Three evidence sources, one output shape, all closed transitively by
+//! [`GroupAcc`](crate::stream::GroupAcc):
 //! * **shared STEK identifiers** — domains presenting the same key_name;
 //! * **shared key-exchange values** — domains presenting the same DH/ECDH
 //!   public value;
 //! * **cross-domain resumption** — session IDs from one domain accepted by
-//!   another, closed transitively.
+//!   another.
 //!
 //! Groups are labelled by the longest common domain-name prefix of their
 //! members (standing in for the paper's manual operator identification).
-
-use crate::observations::{KexSighting, SharingEdge, TicketSighting};
-use crate::unionfind::DisjointSets;
-use std::collections::HashMap;
 
 /// A service group: domains sharing server-side TLS secret state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,73 +40,12 @@ pub struct GroupStats {
     pub shared_domain_count: usize,
 }
 
-/// Build groups from sharing edges (e.g. the cross-domain resumption
-/// experiment), transitively closed. `universe` seeds singletons for
-/// domains with no edges.
-pub fn groups_from_edges<'a>(
-    universe: impl IntoIterator<Item = &'a str>,
-    edges: &[SharingEdge],
-) -> Vec<ServiceGroup> {
-    let mut ds = DisjointSets::new();
-    for d in universe {
-        ds.add(d);
-    }
-    for e in edges {
-        ds.union(&e.a, &e.b);
-    }
-    finalize_groups(ds.groups())
-}
-
-/// Build groups from shared identifiers: any two domains that ever
-/// presented the same id belong together (the STEK experiment, §5.2).
-pub fn groups_from_shared_ids<'a>(
-    pairs: impl IntoIterator<Item = (&'a str, &'a str)>, // (domain, id)
-) -> Vec<ServiceGroup> {
-    let mut ds = DisjointSets::new();
-    // Lookup-only hash map (get/insert, never iterated): group membership
-    // comes out of `ds.groups()`, which sorts, so hash order never escapes.
-    let mut first_holder: HashMap<String, String> = HashMap::new();
-    for (domain, id) in pairs {
-        ds.add(domain);
-        match first_holder.get(id) {
-            Some(holder) => {
-                let holder = holder.clone();
-                ds.union(&holder, domain);
-            }
-            None => {
-                first_holder.insert(id.to_string(), domain.to_string());
-            }
-        }
-    }
-    finalize_groups(ds.groups())
-}
-
-/// STEK service groups from ticket sightings.
-pub fn stek_groups(sightings: &[TicketSighting]) -> Vec<ServiceGroup> {
-    groups_from_shared_ids(
-        sightings
-            .iter()
-            .map(|s| (s.domain.as_str(), s.stek_id.as_str())),
-    )
-}
-
-/// Diffie-Hellman service groups from key-exchange sightings (both
-/// flavours; the paper groups them together in Table 7).
-pub fn dh_groups(sightings: &[KexSighting]) -> Vec<ServiceGroup> {
-    groups_from_shared_ids(
-        sightings
-            .iter()
-            .map(|s| (s.domain.as_str(), s.value_fp.as_str())),
-    )
-}
-
 /// Label and order raw member sets into [`ServiceGroup`]s. Input sets
 /// must already be (size desc, first member) ordered, as
-/// [`DisjointSets::groups`] and
-/// [`GroupAcc::groups`](crate::stream::GroupAcc::groups) produce them:
+/// [`GroupAcc::groups`](crate::stream::GroupAcc::groups) produces them:
 /// the stable sort below only reorders across label ties, so the source
 /// order is the final tiebreak.
-pub fn finalize_groups(groups: Vec<Vec<String>>) -> Vec<ServiceGroup> {
+pub(crate) fn finalize_groups(groups: Vec<Vec<String>>) -> Vec<ServiceGroup> {
     let mut out: Vec<ServiceGroup> = groups
         .into_iter()
         .map(|members| ServiceGroup {
@@ -179,27 +115,25 @@ pub fn top_groups(groups: &[ServiceGroup], k: usize) -> Vec<(String, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observations::{KexKind, SharingKind};
+    use crate::stream::GroupAcc;
 
-    fn sighting(domain: &str, id: &str) -> TicketSighting {
-        TicketSighting {
-            domain: domain.into(),
-            day: 0,
-            stek_id: id.into(),
-            lifetime_hint: 0,
+    fn shared_id_groups(pairs: &[(&str, &str)]) -> Vec<ServiceGroup> {
+        let mut acc = GroupAcc::exact();
+        for &(domain, id) in pairs {
+            acc.record(domain, id, 0);
         }
+        acc.service_groups()
     }
 
     #[test]
-    fn shared_id_grouping() {
-        let sightings = vec![
-            sighting("cdn-a.sim", "key1"),
-            sighting("cdn-b.sim", "key1"),
-            sighting("cdn-c.sim", "key2"),
-            sighting("cdn-b.sim", "key2"), // b bridges key1 and key2
-            sighting("lonely.sim", "key9"),
-        ];
-        let groups = stek_groups(&sightings);
+    fn stats_over_shared_id_groups() {
+        let groups = shared_id_groups(&[
+            ("cdn-a.sim", "key1"),
+            ("cdn-b.sim", "key1"),
+            ("cdn-c.sim", "key2"),
+            ("cdn-b.sim", "key2"), // b bridges key1 and key2
+            ("lonely.sim", "key9"),
+        ]);
         assert_eq!(groups[0].size(), 3, "transitive closure via b");
         assert_eq!(groups[1].size(), 1);
         let s = stats(&groups);
@@ -207,57 +141,6 @@ mod tests {
         assert_eq!(s.singleton_count, 1);
         assert_eq!(s.domain_count, 4);
         assert_eq!(s.shared_domain_count, 3);
-    }
-
-    #[test]
-    fn same_domain_many_ids_stays_one_group() {
-        let sightings = vec![
-            sighting("rotator.sim", "k1"),
-            sighting("rotator.sim", "k2"),
-            sighting("rotator.sim", "k3"),
-        ];
-        let groups = stek_groups(&sightings);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].size(), 1);
-    }
-
-    #[test]
-    fn edges_grouping_with_universe() {
-        let edges = vec![
-            SharingEdge {
-                a: "a.sim".into(),
-                b: "b.sim".into(),
-                kind: SharingKind::SessionCache,
-            },
-            SharingEdge {
-                a: "b.sim".into(),
-                b: "c.sim".into(),
-                kind: SharingKind::SessionCache,
-            },
-        ];
-        let groups = groups_from_edges(["a.sim", "b.sim", "c.sim", "d.sim"], &edges);
-        assert_eq!(groups[0].members, vec!["a.sim", "b.sim", "c.sim"]);
-        assert_eq!(groups[1].members, vec!["d.sim"]);
-    }
-
-    #[test]
-    fn dh_grouping_mixes_flavours() {
-        let sightings = vec![
-            KexSighting {
-                domain: "x.sim".into(),
-                day: 0,
-                kex: KexKind::Dhe,
-                value_fp: "v".into(),
-            },
-            KexSighting {
-                domain: "y.sim".into(),
-                day: 1,
-                kex: KexKind::Ecdhe,
-                value_fp: "v".into(),
-            },
-        ];
-        let groups = dh_groups(&sightings);
-        assert_eq!(groups[0].size(), 2);
     }
 
     #[test]
@@ -280,17 +163,15 @@ mod tests {
 
     #[test]
     fn top_groups_shape() {
-        let sightings = vec![
-            sighting("big-1.sim", "k"),
-            sighting("big-2.sim", "k"),
-            sighting("big-3.sim", "k"),
-            sighting("duo-1.sim", "j"),
-            sighting("duo-2.sim", "j"),
-            sighting("solo.sim", "z"),
-        ];
-        let groups = stek_groups(&sightings);
+        let groups = shared_id_groups(&[
+            ("big-1.sim", "k"),
+            ("big-2.sim", "k"),
+            ("big-3.sim", "k"),
+            ("duo-1.sim", "j"),
+            ("duo-2.sim", "j"),
+            ("solo.sim", "z"),
+        ]);
         let top = top_groups(&groups, 2);
-        assert_eq!(top[0].1, 3);
-        assert_eq!(top[1].1, 2);
+        assert_eq!(top, vec![("big".to_string(), 3), ("duo".to_string(), 2)]);
     }
 }

@@ -7,17 +7,20 @@
 //! * [`observations`] — the scan record types (sightings, probes, edges)
 //! * [`json`] — dependency-free JSON tree for archiving observations
 //! * [`par`] — deterministic chunked fan-out (`parallel_map`)
-//! * [`unionfind`] — disjoint sets for transitive service-group closure
-//! * [`lifetime`] — first/last-seen span estimation for STEKs and
-//!   key-exchange values (§4.3's jitter-tolerant estimator)
-//! * [`cdf`] — empirical CDFs for Figures 1, 2, 3, 5, 8
-//! * [`groups`] — service groups from shared STEK ids, shared DH values,
-//!   and cross-domain resumption edges (§5, Tables 5–7)
+//! * [`stream`] — the estimators, one mergeable accumulator per concept,
+//!   under an explicit shard-merge law ([`Merge`]):
+//!   - [`SpanAcc`] — first/last-seen spans of STEKs and key-exchange
+//!     values (§4.3's jitter-tolerant estimator, Tables 2–4);
+//!   - [`CountCdf`] — empirical CDFs for Figures 1, 2, 3, 5, 8;
+//!   - [`TierAcc`] — per-rank-tier CDFs (Figure 4);
+//!   - [`GroupAcc`] — service groups closed transitively over shared STEK
+//!     ids, shared DH values and cross-domain resumption (§5,
+//!     Tables 5–7);
+//!   - [`TopK`] — the notable-reuser selections
+//! * [`groups`] — service-group labels, ordering and statistics
 //! * [`exposure`] — per-domain *vulnerability windows* and the combined
 //!   maximum-exposure distribution (§6, Figure 8)
-//! * [`stream`] — streaming, mergeable accumulators for sharded
-//!   campaigns (spans, CDFs, groups, top-k) with an explicit merge law
-//! * [`tiers`] — rank-tier breakdowns (Figure 4)
+//! * [`tiers`] — the paper's rank tiers (Figure 4)
 //! * [`treemap`] — size × longevity summaries standing in for the paper's
 //!   treemap visualizations (Figures 6, 7)
 //! * [`report`] — text tables with paper-vs-measured columns
@@ -28,23 +31,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cdf;
 pub mod exposure;
 pub mod groups;
 pub mod interleave;
 pub mod json;
-pub mod lifetime;
 pub mod observations;
 pub mod par;
 pub mod report;
 pub mod stream;
 pub mod tiers;
 pub mod treemap;
-pub mod unionfind;
 
-pub use cdf::Cdf;
 pub use exposure::{DomainExposure, ExposureKind};
-pub use lifetime::SpanEstimator;
 pub use observations::{KexKind, KexSighting, ResumptionProbe, TicketSighting};
 pub use stream::{CountCdf, GroupAcc, Merge, SpanAcc, TierAcc, TopK};
-pub use unionfind::DisjointSets;

@@ -1,19 +1,18 @@
-//! Streaming, mergeable accumulators for sharded campaigns.
+//! Streaming, mergeable accumulators — the analysis estimators.
 //!
-//! The collect-then-sort pipeline (`Vec<TicketSighting>` → sort → group)
-//! holds every observation of a nine-week campaign in memory at once —
-//! O(domain-days), which is what caps `repro` near `--size 20000`. The
-//! types here replace it with bounded state:
+//! Each of the paper's estimators has exactly one type here, holding
+//! bounded state instead of a collected observation list:
 //!
-//! * [`SpanAcc`] — the streaming [`SpanEstimator`]: live (domain, id)
-//!   ranges plus per-domain closed aggregates, with an optional eviction
-//!   horizon that retires pairs not sighted for `h` days;
-//! * [`CountCdf`] — an exact CDF over value→count entries instead of a
-//!   sorted sample vector (campaign values repeat heavily: day counts,
+//! * [`SpanAcc`] — first/last-seen span estimation (§4.3): live
+//!   (domain, id) ranges plus per-domain closed aggregates, with an
+//!   optional eviction horizon that retires pairs not sighted for `h` days;
+//! * [`CountCdf`] — an exact empirical CDF over value→count entries
+//!   (Figures 1–5 and 8; campaign values repeat heavily: day counts,
 //!   window seconds);
-//! * [`TierAcc`] — the streaming tier-CDF builder behind Figure 4;
-//! * [`GroupAcc`] — incremental union-find over (domain, shared-id)
-//!   sightings, storing no edge list;
+//! * [`TierAcc`] — per-rank-tier CDFs behind Figure 4;
+//! * [`GroupAcc`] — incremental union-find over shared-identifier
+//!   sightings and cross-domain resumption links (§5, Tables 5–7),
+//!   storing no edge list;
 //! * [`TopK`] — bounded top-k selection for the notable-reuser tables.
 //!
 //! Every accumulator implements [`Merge`] with the law that drives the
@@ -24,10 +23,13 @@
 //! accumulators, so retiring a pair locally is the same as retiring it
 //! globally.
 //!
-//! [`SpanEstimator`]: crate::lifetime::SpanEstimator
+//! The span estimator's rule: a (domain, identifier) pair's lifetime is
+//! the span between the first and last day the pair was sighted,
+//! *inclusive*. Intermediate days with a different identifier are
+//! attributed to scan jitter (A-record selection, load-balancer affinity,
+//! missed connections), because static keys don't flip back and forth and
+//! random identifiers don't collide.
 
-use crate::cdf::Cdf;
-use crate::lifetime::DomainSpans;
 use crate::tiers::Tier;
 use std::collections::{BTreeMap, HashMap};
 
@@ -98,11 +100,21 @@ struct DomainAgg {
     days: DaySet,
 }
 
-/// Streaming first/last-seen span estimation — the mergeable form of
-/// [`SpanEstimator`](crate::lifetime::SpanEstimator).
+/// Span statistics for one domain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DomainSpans {
+    /// Longest identifier span, in days (first-to-last inclusive).
+    pub max_span_days: u64,
+    /// Number of distinct identifiers sighted.
+    pub distinct_ids: usize,
+    /// Number of days with at least one sighting.
+    pub days_seen: usize,
+}
+
+/// Streaming, mergeable first/last-seen span estimation (§4.3, §4.4).
 ///
-/// With `horizon_days = None` the accumulator is exact and its queries
-/// match `SpanEstimator` on the same stream. With `Some(h)`, a live
+/// With `horizon_days = None` the accumulator is exact: every
+/// (domain, id) pair stays addressable. With `Some(h)`, a live
 /// (domain, id) pair whose last sighting is more than `h` days behind the
 /// watermark is folded into a per-domain aggregate (its span is final);
 /// peak live state is then O(domains + pairs inside the horizon) instead
@@ -123,8 +135,7 @@ pub struct SpanAcc {
 }
 
 impl SpanAcc {
-    /// Exact accumulator (never evicts) — query-equivalent to
-    /// `SpanEstimator`.
+    /// Exact accumulator (never evicts).
     pub fn exact() -> Self {
         Self::with_horizon(None)
     }
@@ -186,9 +197,7 @@ impl SpanAcc {
         }
     }
 
-    /// Per-domain span statistics, keyed in domain order — the
-    /// [`SpanEstimator::domain_spans`](crate::lifetime::SpanEstimator::domain_spans)
-    /// shape.
+    /// Per-domain span statistics, keyed in domain order.
     pub fn domain_spans(&self) -> BTreeMap<String, DomainSpans> {
         let mut out: BTreeMap<String, DomainSpans> = self
             .domains
@@ -297,13 +306,11 @@ impl Merge for SpanAcc {
     }
 }
 
-/// An exact empirical CDF stored as value→count — the mergeable,
-/// bounded-memory form of [`Cdf`].
+/// An exact empirical CDF over `u64` samples, stored as value→count.
 ///
-/// Query semantics match `Cdf` exactly (including nearest-rank
-/// quantiles); memory is O(distinct values) instead of O(samples), and
-/// campaign samples (spans in days, windows in seconds at day
-/// granularity) repeat heavily.
+/// Quantiles are by nearest rank. Memory is O(distinct values) instead of
+/// O(samples), and campaign samples (spans in days, windows in seconds at
+/// day granularity) repeat heavily.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountCdf {
     counts: BTreeMap<u64, u64>,
@@ -416,15 +423,6 @@ impl CountCdf {
     pub fn max(&self) -> Option<u64> {
         self.counts.keys().next_back().copied()
     }
-
-    /// Materialize as a sorted-sample [`Cdf`] (tests, small outputs).
-    pub fn to_cdf(&self) -> Cdf {
-        let mut samples = Vec::with_capacity(self.total as usize);
-        for (&value, &count) in &self.counts {
-            samples.extend(std::iter::repeat(value).take(count as usize));
-        }
-        Cdf::from_samples(samples)
-    }
 }
 
 impl Merge for CountCdf {
@@ -435,8 +433,8 @@ impl Merge for CountCdf {
     }
 }
 
-/// Streaming tier-CDF builder (Figure 4): records (rank, value) pairs
-/// into the cumulative rank tiers without materializing the sample list.
+/// Per-tier CDFs (Figure 4): records (rank, value) pairs into the
+/// cumulative rank tiers without materializing the sample list.
 #[derive(Debug, Clone)]
 pub struct TierAcc {
     tiers: Vec<Tier>,
@@ -463,8 +461,8 @@ impl TierAcc {
         }
     }
 
-    /// Per-tier CDFs in tier order — the
-    /// [`tier_cdfs`](crate::tiers::tier_cdfs) shape.
+    /// Per-tier CDFs keyed by tier label. Ordered map so any caller
+    /// iterating the result renders tiers in a stable order.
     pub fn cdfs(&self) -> BTreeMap<&'static str, CountCdf> {
         self.tiers
             .iter()
@@ -492,17 +490,21 @@ impl Merge for TierAcc {
     }
 }
 
-/// Streaming service-group construction — the mergeable form of
-/// [`groups_from_shared_ids`](crate::groups::groups_from_shared_ids).
+/// Streaming, mergeable service-group construction (§5): domains that
+/// share server-side secret state, closed transitively.
 ///
-/// Holds an *incremental* union-find (no edge list, unlike
-/// [`DisjointSets`](crate::unionfind::DisjointSets)) plus one
+/// Two kinds of evidence feed it: shared identifiers ([`record`]: any two
+/// domains that ever presented the same STEK key name or DH value belong
+/// together) and direct links ([`link`]: one domain accepted another's
+/// session). It holds an *incremental* union-find (no edge list) plus one
 /// first-holder entry per live identifier, so memory is O(domains + ids
-/// inside the horizon) rather than O(sightings). Fed the same stream in
-/// the same order, `groups()` equals the batch constructor's output
-/// exactly: names are interned in first-appearance order, the partition
-/// is closed over the same (first-holder, domain) edges, and sets are
-/// ordered by (size desc, min member index) before labelling.
+/// inside the horizon) rather than O(sightings). Names are interned in
+/// first-appearance order and sets are ordered by (size desc, min member
+/// index) before labelling, so the same stream in the same order always
+/// yields the same labelled groups.
+///
+/// [`record`]: GroupAcc::record
+/// [`link`]: GroupAcc::link
 #[derive(Debug, Clone, Default)]
 pub struct GroupAcc {
     horizon_days: Option<u64>,
@@ -597,6 +599,12 @@ impl GroupAcc {
         self.holders_high_water = self.holders_high_water.max(self.holders.len());
     }
 
+    /// Record that `b` accepted `a`'s session: the two share a cache.
+    pub fn link(&mut self, a: &str, b: &str) {
+        let (ia, ib) = (self.index(a), self.index(b));
+        self.union(ia, ib);
+    }
+
     /// Advance the watermark to `day` and forget identifiers past the
     /// horizon (their sharing edges are already in the partition).
     pub fn advance(&mut self, day: u64) {
@@ -614,10 +622,7 @@ impl GroupAcc {
     }
 
     /// All groups as sorted member-name vectors, ordered (size desc, min
-    /// member index) — the
-    /// [`DisjointSets::groups`](crate::unionfind::DisjointSets::groups)
-    /// shape, ready for
-    /// [`finalize_groups`](crate::groups::finalize_groups).
+    /// member index).
     pub fn groups(&mut self) -> Vec<Vec<String>> {
         if self.names.is_empty() {
             return Vec::new();
@@ -641,9 +646,7 @@ impl GroupAcc {
             .collect()
     }
 
-    /// Labelled, ordered service groups — equals
-    /// [`groups_from_shared_ids`](crate::groups::groups_from_shared_ids)
-    /// on the same stream.
+    /// Labelled service groups, largest first (the shape of Tables 5–7).
     pub fn service_groups(&mut self) -> Vec<crate::groups::ServiceGroup> {
         crate::groups::finalize_groups(self.groups())
     }
@@ -781,8 +784,6 @@ impl Merge for TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::groups_from_shared_ids;
-    use crate::lifetime::SpanEstimator;
 
     #[test]
     fn fp128_distinguishes_and_is_stable() {
@@ -792,7 +793,81 @@ mod tests {
     }
 
     #[test]
-    fn span_acc_matches_estimator_exact() {
+    fn span_is_first_to_last_inclusive() {
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "k1", 5);
+        assert_eq!(e.span_of("a.sim", "k1"), Some(1), "single day");
+        assert_eq!(e.domain_spans()["a.sim"].distinct_ids, 1);
+        e.record("b.sim", "k1", 0);
+        e.record("b.sim", "k1", 62);
+        assert_eq!(e.span_of("b.sim", "k1"), Some(63), "whole study");
+    }
+
+    #[test]
+    fn span_bridges_jitter_and_missed_days() {
+        // The paper's key property: an intermediate sighting of a
+        // different id (load-balancer jitter) does not split the span.
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "k1", 0);
+        e.record("a.sim", "other", 5);
+        e.record("a.sim", "k1", 10);
+        assert_eq!(e.span_of("a.sim", "k1"), Some(11));
+        let spans = e.domain_spans();
+        assert_eq!(spans["a.sim"].max_span_days, 11);
+        assert_eq!(spans["a.sim"].distinct_ids, 2);
+        assert_eq!(spans["a.sim"].days_seen, 3);
+        // Days 1-6 missed entirely (server unresponsive).
+        e.record("b.sim", "k1", 0);
+        e.record("b.sim", "k1", 7);
+        assert_eq!(e.span_of("b.sim", "k1"), Some(8));
+    }
+
+    #[test]
+    fn span_is_per_domain_max_and_per_domain_pair() {
+        let mut e = SpanAcc::exact();
+        // Rotating daily: spans of 1 each.
+        for day in 0..10 {
+            e.record("daily.sim", &format!("key{day}"), day);
+        }
+        // One long key.
+        e.record("static.sim", "k", 0);
+        e.record("static.sim", "k", 29);
+        let spans = e.domain_spans();
+        assert_eq!(spans["daily.sim"].max_span_days, 1);
+        assert_eq!(spans["daily.sim"].distinct_ids, 10);
+        assert_eq!(spans["static.sim"].max_span_days, 30);
+        // The same id at two domains is two pairs.
+        e.record("a.sim", "shared", 0);
+        e.record("a.sim", "shared", 5);
+        e.record("b.sim", "shared", 3);
+        assert_eq!(e.span_of("a.sim", "shared"), Some(6));
+        assert_eq!(e.span_of("b.sim", "shared"), Some(1));
+        assert_eq!(e.pair_count(), 10 + 1 + 2);
+    }
+
+    #[test]
+    fn domains_with_span_at_least_sorted_by_span_then_name() {
+        let mut e = SpanAcc::exact();
+        e.record("long.sim", "k", 0);
+        e.record("long.sim", "k", 62);
+        e.record("mid.sim", "k", 0);
+        e.record("mid.sim", "k", 9);
+        e.record("also-mid.sim", "k", 3);
+        e.record("also-mid.sim", "k", 12);
+        e.record("short.sim", "k", 0);
+        assert_eq!(
+            e.domains_with_span_at_least(7),
+            vec![
+                ("long.sim".to_string(), 63),
+                ("also-mid.sim".to_string(), 10),
+                ("mid.sim".to_string(), 10)
+            ]
+        );
+        assert_eq!(e.domains_with_span_at_least(64), vec![]);
+    }
+
+    #[test]
+    fn span_acc_exact_matches_bruteforce() {
         let stream = [
             ("a.sim", "k1", 0u64),
             ("a.sim", "other", 5),
@@ -802,21 +877,30 @@ mod tests {
             ("daily.sim", "d1", 1),
             ("daily.sim", "d2", 2),
         ];
-        let mut est = SpanEstimator::new();
         let mut acc = SpanAcc::exact();
         for (d, id, day) in stream {
-            est.record(d, id, day);
             acc.record(d, id, day);
             acc.advance(day);
         }
-        assert_eq!(est.domain_spans(), acc.domain_spans());
-        assert_eq!(est.max_spans(), acc.max_spans());
-        assert_eq!(
-            est.domains_with_span_at_least(2),
-            acc.domains_with_span_at_least(2)
-        );
-        assert_eq!(est.pair_count(), acc.pair_count());
-        assert_eq!(est.span_of("a.sim", "k1"), acc.span_of("a.sim", "k1"));
+        let spans = acc.domain_spans();
+        assert_eq!(spans.len(), 3);
+        for (domain, ds) in &spans {
+            let mine: Vec<_> = stream.iter().filter(|s| s.0 == domain).collect();
+            let ids: BTreeMap<&str, (u64, u64)> = mine.iter().fold(BTreeMap::new(), |mut m, s| {
+                let r = m.entry(s.1).or_insert((s.2, s.2));
+                *r = (r.0.min(s.2), r.1.max(s.2));
+                m
+            });
+            let mut days: Vec<u64> = mine.iter().map(|s| s.2).collect();
+            days.sort_unstable();
+            days.dedup();
+            let longest = ids.values().map(|(first, last)| last - first + 1).max();
+            assert_eq!(Some(ds.max_span_days), longest, "{domain}");
+            assert_eq!(ds.distinct_ids, ids.len(), "{domain}");
+            assert_eq!(ds.days_seen, days.len(), "{domain}");
+        }
+        assert_eq!(acc.max_spans(), vec![11, 1, 1]);
+        assert_eq!(acc.pair_count(), 6);
     }
 
     #[test]
@@ -874,26 +958,73 @@ mod tests {
     }
 
     #[test]
-    fn count_cdf_matches_cdf_queries() {
-        let samples = vec![1u64, 2, 2, 3, 10, 0, 7, 7, 7, 100];
-        let cdf = Cdf::from_samples(samples.clone());
-        let counted = CountCdf::from_samples(samples);
-        assert_eq!(cdf.len(), counted.len());
-        assert_eq!(cdf.min(), counted.min());
-        assert_eq!(cdf.max(), counted.max());
+    fn count_cdf_fractions_on_small_set() {
+        let c = CountCdf::from_samples([1, 2, 2, 3, 10]);
+        assert_eq!(c.len(), 5);
+        assert!((c.fraction_le(0) - 0.0).abs() < 1e-12);
+        assert!((c.fraction_le(1) - 0.2).abs() < 1e-12);
+        assert!((c.fraction_le(2) - 0.6).abs() < 1e-12);
+        assert!((c.fraction_le(100) - 1.0).abs() < 1e-12);
+        assert!((c.fraction_ge(2) - 0.8).abs() < 1e-12);
+        assert!((c.fraction_ge(11) - 0.0).abs() < 1e-12);
+        assert_eq!(c.count_ge(3), 2);
+        // ≤x and >x partition the samples.
+        for x in 0..12 {
+            let gt = 1.0 - c.fraction_le(x);
+            assert!((gt - c.fraction_ge(x + 1)).abs() < 1e-12, "x={x}");
+        }
+        // The plotted series is monotone and ends at 1.
+        let series = c.series(&[0, 1, 2, 3, 5, 10, 1000]);
+        for w in series.windows(2) {
+            assert!(w[1].1 >= w[0].1, "CDF must be monotone: {series:?}");
+        }
+        assert_eq!(series.last().unwrap().1, 1.0);
+    }
+
+    #[test]
+    fn count_cdf_quantiles_by_nearest_rank() {
+        let c = CountCdf::from_samples([10, 20, 30, 40, 50]);
+        assert_eq!(c.median(), Some(30));
+        assert_eq!(c.quantile(0.0), Some(10));
+        assert_eq!(c.quantile(1.0), Some(50));
+        assert_eq!(c.quantile(0.2), Some(10));
+        assert_eq!(c.quantile(0.21), Some(20));
+        let even = CountCdf::from_samples([1, 2, 3, 4]);
+        assert_eq!(even.median(), Some(2), "nearest rank");
+    }
+
+    #[test]
+    fn count_cdf_empty_behaviour() {
+        let c = CountCdf::new();
+        assert!(c.is_empty());
+        assert_eq!(c.fraction_le(5), 0.0);
+        assert_eq!(c.fraction_ge(5), 0.0);
+        assert_eq!(c.median(), None);
+        assert_eq!(c.min(), None);
+        assert_eq!(c.series(&[1, 2]), vec![(1, 0.0), (2, 0.0)]);
+    }
+
+    #[test]
+    fn count_cdf_matches_bruteforce_counts() {
+        let mut sorted = vec![1u64, 2, 2, 3, 10, 0, 7, 7, 7, 100];
+        let counted = CountCdf::from_samples(sorted.clone());
+        sorted.sort_unstable();
+        let n = sorted.len();
+        assert_eq!(counted.len(), n);
+        assert_eq!(counted.min(), Some(0));
+        assert_eq!(counted.max(), Some(100));
         for x in [0u64, 1, 2, 3, 5, 7, 10, 99, 100, 101] {
-            assert_eq!(cdf.count_ge(x), counted.count_ge(x), "count_ge({x})");
-            assert!((cdf.fraction_le(x) - counted.fraction_le(x)).abs() < 1e-12);
-            assert!((cdf.fraction_ge(x) - counted.fraction_ge(x)).abs() < 1e-12);
+            let le = sorted.iter().filter(|&&v| v <= x).count();
+            let ge = sorted.iter().filter(|&&v| v >= x).count();
+            assert_eq!(counted.count_le(x), le, "count_le({x})");
+            assert_eq!(counted.count_ge(x), ge, "count_ge({x})");
+            assert_eq!(counted.fraction_le(x), le as f64 / n as f64);
+            assert_eq!(counted.fraction_ge(x), ge as f64 / n as f64);
         }
         for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            assert_eq!(cdf.quantile(q), counted.quantile(q), "quantile({q})");
+            let rank = ((q * n as f64).ceil() as usize).max(1);
+            assert_eq!(counted.quantile(q), Some(sorted[rank - 1]), "quantile({q})");
         }
-        assert_eq!(cdf.series(&[2, 7]), counted.series(&[2, 7]));
-        let empty = CountCdf::new();
-        assert!(empty.is_empty());
-        assert_eq!(empty.median(), None);
-        assert_eq!(empty.fraction_le(5), 0.0);
     }
 
     #[test]
@@ -903,26 +1034,38 @@ mod tests {
         a.merge(b);
         assert_eq!(a.len(), 5);
         assert_eq!(a.count_ge(3), 3);
-        assert_eq!(a.to_cdf().median(), Some(3));
+        assert_eq!(a.median(), Some(3));
     }
 
     #[test]
-    fn tier_acc_matches_tier_cdfs() {
-        use crate::tiers::{tier_cdfs, tiers_for_population};
+    fn tier_acc_is_cumulative_and_matches_bruteforce() {
+        use crate::tiers::tiers_for_population;
         let tiers = tiers_for_population(10_000);
-        let samples = vec![(5usize, 100u64), (500, 10), (5_000, 1), (50, 7)];
-        let batch = tier_cdfs(&samples, &tiers);
+        let samples = [(5usize, 100u64), (500, 10), (5_000, 1), (50, 7)];
         let mut acc = TierAcc::new(&tiers);
         for &(rank, v) in &samples {
             acc.record(rank, v);
         }
-        let streamed = acc.cdfs();
-        assert_eq!(batch.len(), streamed.len());
-        for (label, cdf) in &batch {
-            let s = &streamed[label];
-            assert_eq!(cdf.len(), s.len(), "{label}");
-            assert_eq!(cdf.median(), s.median(), "{label}");
+        let cdfs = acc.cdfs();
+        assert_eq!(cdfs.len(), tiers.len());
+        for tier in &tiers {
+            let mut values: Vec<u64> = samples
+                .iter()
+                .filter(|(rank, _)| *rank <= tier.limit)
+                .map(|&(_, v)| v)
+                .collect();
+            values.sort_unstable();
+            let cdf = &cdfs[tier.label];
+            assert_eq!(cdf.len(), values.len(), "{}", tier.label);
+            let median = values.get(values.len().saturating_sub(1) / 2);
+            assert_eq!(cdf.median().as_ref(), median, "{}", tier.label);
         }
+        // Top 1K contains Top 100; a tier nothing ranks into is empty.
+        assert_eq!(cdfs["Top 100"].len(), 2);
+        assert_eq!(cdfs["Top 1K"].len(), 3);
+        let mut sparse = TierAcc::new(&tiers);
+        sparse.record(5_000, 1);
+        assert!(sparse.cdfs()["Top 100"].is_empty());
     }
 
     #[test]
@@ -946,23 +1089,70 @@ mod tests {
         assert_eq!(whole.cdfs(), a.cdfs());
     }
 
+    fn names(groups: &[Vec<String>]) -> Vec<Vec<&str>> {
+        groups
+            .iter()
+            .map(|g| g.iter().map(String::as_str).collect())
+            .collect()
+    }
+
     #[test]
-    fn group_acc_matches_batch_constructor() {
+    fn group_acc_closes_shared_ids_transitively() {
         let pairs = [
             ("cdn-a.sim", "key1"),
             ("cdn-b.sim", "key1"),
             ("cdn-c.sim", "key2"),
-            ("cdn-b.sim", "key2"),
+            ("cdn-b.sim", "key2"), // b bridges key1 and key2
             ("lonely.sim", "key9"),
-            ("rotator.sim", "r1"),
+            ("rotator.sim", "r1"), // many ids, one domain: still a singleton
             ("rotator.sim", "r2"),
         ];
-        let batch = groups_from_shared_ids(pairs.iter().map(|&(d, i)| (d, i)));
         let mut acc = GroupAcc::exact();
         for (i, &(d, id)) in pairs.iter().enumerate() {
             acc.record(d, id, i as u64);
         }
-        assert_eq!(acc.service_groups(), batch);
+        assert_eq!(
+            names(&acc.groups()),
+            vec![
+                vec!["cdn-a.sim", "cdn-b.sim", "cdn-c.sim"],
+                vec!["lonely.sim"],
+                vec!["rotator.sim"],
+            ]
+        );
+        assert_eq!(acc.service_groups()[0].label, "cdn");
+    }
+
+    #[test]
+    fn group_acc_links_close_transitively() {
+        // §5.1: id_a valid on b, id_b valid on c ⇒ {a, b, c} one group;
+        // registered domains with no link stay singletons.
+        let mut acc = GroupAcc::exact();
+        for d in ["a.sim", "b.sim", "c.sim", "d.sim"] {
+            acc.add(d);
+        }
+        acc.link("a.sim", "b.sim");
+        acc.link("b.sim", "c.sim");
+        assert_eq!(
+            names(&acc.groups()),
+            vec![vec!["a.sim", "b.sim", "c.sim"], vec!["d.sim"]]
+        );
+        assert_eq!(acc.len(), 4);
+        assert_eq!(acc.live_ids(), 0, "links hold no identifier state");
+    }
+
+    #[test]
+    fn group_acc_groups_sorted_largest_first() {
+        let mut acc = GroupAcc::exact();
+        for i in 0..10 {
+            acc.add(&format!("s{i}"));
+        }
+        acc.link("s0", "s1");
+        acc.link("s2", "s3");
+        acc.link("s3", "s4");
+        let groups = acc.groups();
+        assert_eq!(groups[0].len(), 3);
+        assert_eq!(groups[1].len(), 2);
+        assert_eq!(groups.len(), 1 + 1 + 5);
     }
 
     #[test]

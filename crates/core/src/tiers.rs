@@ -1,8 +1,5 @@
 //! Rank tiers (Figure 4: STEK lifetime by Alexa rank).
 
-use crate::cdf::Cdf;
-use std::collections::BTreeMap;
-
 /// A rank tier: domains with rank ≤ `limit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tier {
@@ -45,23 +42,6 @@ pub fn tiers_for_population(size: usize) -> Vec<Tier> {
     out
 }
 
-/// Per-tier CDFs from (rank, sample) pairs. Tiers are cumulative, as in
-/// the paper (Top 1K includes Top 100). Ordered map so any caller
-/// iterating the result renders tiers in a stable order.
-pub fn tier_cdfs(samples: &[(usize, u64)], tiers: &[Tier]) -> BTreeMap<&'static str, Cdf> {
-    tiers
-        .iter()
-        .map(|tier| {
-            let values: Vec<u64> = samples
-                .iter()
-                .filter(|(rank, _)| *rank <= tier.limit)
-                .map(|&(_, v)| v)
-                .collect();
-            (tier.label, Cdf::from_samples(values))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,25 +54,5 @@ mod tests {
         assert_eq!(t.last().unwrap().limit, 20_000);
         let t = tiers_for_population(1_000_000);
         assert_eq!(t.len(), 5, "Top 1M collapses into whole-list");
-    }
-
-    #[test]
-    fn tier_cdfs_are_cumulative() {
-        let samples = vec![(5usize, 100u64), (500, 10), (5_000, 1)];
-        let tiers = tiers_for_population(10_000);
-        let cdfs = tier_cdfs(&samples, &tiers);
-        assert_eq!(cdfs["Top 100"].len(), 1);
-        assert_eq!(cdfs["Top 1K"].len(), 2);
-        assert_eq!(cdfs["Whole list"].len(), 3);
-        assert_eq!(cdfs["Top 100"].median(), Some(100));
-    }
-
-    #[test]
-    fn empty_tier_is_empty_cdf() {
-        let samples = vec![(5_000usize, 1u64)];
-        let tiers = tiers_for_population(10_000);
-        let cdfs = tier_cdfs(&samples, &tiers);
-        assert!(cdfs["Top 100"].is_empty());
-        assert_eq!(cdfs["Whole list"].len(), 1);
     }
 }

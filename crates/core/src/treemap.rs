@@ -7,8 +7,8 @@
 //! communicates: which groups are big, which are long-lived, and where
 //! the dangerous big-AND-long-lived groups sit.
 
-use crate::cdf::Cdf;
 use crate::groups::ServiceGroup;
+use crate::stream::CountCdf;
 use std::collections::BTreeMap;
 
 /// Longevity colour buckets, mirroring the figures' legend.
@@ -77,12 +77,8 @@ pub fn build_cells(
         .iter()
         .filter(|g| g.size() >= min_size)
         .map(|g| {
-            let samples: Vec<u64> = g
-                .members
-                .iter()
-                .filter_map(|m| longevity.get(m).copied())
-                .collect();
-            let median = Cdf::from_samples(samples).median().unwrap_or(0);
+            let samples = g.members.iter().filter_map(|m| longevity.get(m).copied());
+            let median = CountCdf::from_samples(samples).median().unwrap_or(0);
             TreemapCell {
                 label: g.label.clone(),
                 size: g.size(),

@@ -1,11 +1,9 @@
-//! Property-based tests for the analysis core: CDF laws, union-find
-//! equivalence-relation axioms, and span-estimator invariants.
+//! Property-based tests for the analysis core: CDF laws, service-group
+//! closure against a brute-force closure, and span-estimator invariants.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use ts_core::cdf::Cdf;
-use ts_core::lifetime::SpanEstimator;
-use ts_core::unionfind::{DisjointSets, UnionFind};
+use ts_core::stream::{CountCdf, GroupAcc, SpanAcc};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -17,7 +15,7 @@ proptest! {
         samples in proptest::collection::vec(any::<u64>(), 0..300),
         probes in proptest::collection::vec(any::<u64>(), 1..50),
     ) {
-        let cdf = Cdf::from_samples(samples.clone());
+        let cdf = CountCdf::from_samples(samples.clone());
         let mut probes = probes;
         probes.sort_unstable();
         let mut last = 0.0f64;
@@ -38,7 +36,7 @@ proptest! {
         samples in proptest::collection::vec(0u64..1000, 1..200),
         x in 0u64..1001,
     ) {
-        let cdf = Cdf::from_samples(samples);
+        let cdf = CountCdf::from_samples(samples);
         let le = cdf.fraction_le(x);
         let ge_next = cdf.fraction_ge(x + 1);
         prop_assert!((le + ge_next - 1.0).abs() < 1e-9);
@@ -50,7 +48,7 @@ proptest! {
         q1 in 0.0f64..1.0,
         q2 in 0.0f64..1.0,
     ) {
-        let cdf = Cdf::from_samples(samples.clone());
+        let cdf = CountCdf::from_samples(samples.clone());
         let set: HashSet<u64> = samples.into_iter().collect();
         let v1 = cdf.quantile(q1).unwrap();
         let v2 = cdf.quantile(q2).unwrap();
@@ -66,58 +64,64 @@ proptest! {
         x in 0u64..101,
     ) {
         let manual = samples.iter().filter(|&&v| v >= x).count();
-        let cdf = Cdf::from_samples(samples);
+        let cdf = CountCdf::from_samples(samples);
         prop_assert_eq!(cdf.count_ge(x), manual);
     }
 
-    // --- union-find ---
+    // --- service groups ---
 
     #[test]
-    fn unionfind_is_an_equivalence_relation(
+    fn group_links_are_an_equivalence_relation(
         n in 2usize..80,
         edges in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..120),
     ) {
-        let mut uf = UnionFind::new(n);
-        for (a, b) in &edges {
-            uf.union(a % n, b % n);
-        }
-        // Reflexive.
+        let mut acc = GroupAcc::exact();
         for i in 0..n {
-            prop_assert!(uf.connected(i, i));
+            acc.add(&format!("d{i}"));
         }
-        // Symmetric + transitive via the sets() partition.
-        let sets = uf.sets();
-        let mut seen = vec![false; n];
-        let mut total = 0;
-        for set in &sets {
-            for &i in set {
-                prop_assert!(!seen[i], "partition: no element twice");
-                seen[i] = true;
-                total += 1;
-                prop_assert!(uf.connected(set[0], i));
+        for (a, b) in &edges {
+            acc.link(&format!("d{}", a % n), &format!("d{}", b % n));
+        }
+        let groups = acc.groups();
+        // A partition: every domain in exactly one group, none empty.
+        let mut seen: HashSet<String> = HashSet::new();
+        for g in &groups {
+            prop_assert!(!g.is_empty());
+            for m in g {
+                prop_assert!(seen.insert(m.clone()), "no domain in two groups");
             }
         }
-        prop_assert_eq!(total, n, "partition covers everything");
-        // Sizes agree.
-        for set in &sets {
-            prop_assert_eq!(uf.set_size(set[0]), set.len());
+        prop_assert_eq!(seen.len(), n, "partition covers everything");
+        // Every link lands inside one group.
+        let group_of = |d: &str| groups.iter().position(|g| g.iter().any(|m| m == d));
+        for (a, b) in &edges {
+            let (a, b) = (format!("d{}", a % n), format!("d{}", b % n));
+            prop_assert_eq!(group_of(&a), group_of(&b));
         }
-        // Cross-set elements are not connected.
-        if sets.len() >= 2 {
-            prop_assert!(!uf.connected(sets[0][0], sets[1][0]));
+        // Groups sorted largest-first.
+        for w in groups.windows(2) {
+            prop_assert!(w[0].len() >= w[1].len());
         }
     }
 
     #[test]
-    fn unionfind_matches_bruteforce_closure(
+    fn group_links_match_bruteforce_closure(
         n in 2usize..30,
         edges in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..40),
     ) {
         let edges: Vec<(usize, usize)> = edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        let mut uf = UnionFind::new(n);
-        for &(a, b) in &edges {
-            uf.union(a, b);
+        let name = |i: usize| format!("d{i:02}");
+        let mut acc = GroupAcc::exact();
+        for i in 0..n {
+            acc.add(&name(i));
         }
+        for &(a, b) in &edges {
+            acc.link(&name(a), &name(b));
+        }
+        let groups = acc.groups();
+        let group_of: Vec<usize> = (0..n)
+            .map(|i| groups.iter().position(|g| g.contains(&name(i))).unwrap())
+            .collect();
         // Brute-force transitive closure via adjacency matrix.
         let mut reach = vec![vec![false; n]; n];
         for i in 0..n {
@@ -138,38 +142,35 @@ proptest! {
         }
         for i in 0..n {
             for j in 0..n {
-                prop_assert_eq!(uf.connected(i, j), reach[i][j], "({}, {})", i, j);
+                prop_assert_eq!(group_of[i] == group_of[j], reach[i][j], "({}, {})", i, j);
             }
         }
     }
 
     #[test]
-    fn disjoint_sets_groups_partition_names(
+    fn group_acc_groups_partition_names(
         names in proptest::collection::hash_set("[a-e][0-9]", 1..20),
-        unions in proptest::collection::vec(("[a-e][0-9]", "[a-e][0-9]"), 0..15),
+        links in proptest::collection::vec(("[a-e][0-9]", "[a-e][0-9]"), 0..15),
     ) {
-        let mut ds = DisjointSets::new();
+        let mut acc = GroupAcc::exact();
         for n in &names {
-            ds.add(n);
+            acc.add(n);
         }
-        for (a, b) in &unions {
-            ds.union(a, b);
+        for (a, b) in &links {
+            acc.link(a, b);
         }
-        let groups = ds.groups();
+        let groups = acc.groups();
         let mut seen: HashSet<String> = HashSet::new();
         for g in &groups {
             for m in g {
                 prop_assert!(seen.insert(m.clone()), "no domain in two groups");
             }
         }
-        // Every added name appears (unions may add more).
+        // Every added name appears (links may add more).
         for n in &names {
             prop_assert!(seen.contains(n));
         }
-        // Groups sorted largest-first.
-        for w in groups.windows(2) {
-            prop_assert!(w[0].len() >= w[1].len());
-        }
+        prop_assert_eq!(seen.len(), acc.len());
     }
 
     // --- span estimator ---
@@ -181,7 +182,7 @@ proptest! {
             1..200,
         ),
     ) {
-        let mut est = SpanEstimator::new();
+        let mut est = SpanAcc::exact();
         for (domain, id, day) in &sightings {
             est.record(domain, id, *day);
         }
@@ -196,6 +197,20 @@ proptest! {
             let max = *days.iter().max().unwrap();
             prop_assert!(spans.max_span_days >= 1);
             prop_assert!(spans.max_span_days <= max - min + 1);
+            // Exactly the longest first-to-last range of any one id.
+            let longest = sightings
+                .iter()
+                .filter(|(d, _, _)| *d == domain)
+                .map(|(_, id, _)| {
+                    let d = sightings
+                        .iter()
+                        .filter(|(d2, id2, _)| *d2 == domain && id2 == id)
+                        .map(|(_, _, day)| *day);
+                    d.clone().max().unwrap() - d.min().unwrap() + 1
+                })
+                .max()
+                .unwrap();
+            prop_assert_eq!(spans.max_span_days, longest);
             // distinct_ids bounded by distinct ids sighted for this domain.
             let distinct: HashSet<&str> = sightings
                 .iter()
@@ -213,7 +228,7 @@ proptest! {
     fn span_of_single_id_equals_range(
         days in proptest::collection::hash_set(0u64..63, 1..30),
     ) {
-        let mut est = SpanEstimator::new();
+        let mut est = SpanAcc::exact();
         for &d in &days {
             est.record("x.sim", "only-key", d);
         }

@@ -9,8 +9,9 @@
 
 use crate::grab::{GrabOptions, Scanner, SuiteOffer};
 use std::collections::BTreeMap;
-use ts_core::groups::{self, ServiceGroup};
+use ts_core::groups::ServiceGroup;
 use ts_core::observations::{KexKind, KexSighting, SharingEdge, SharingKind, TicketSighting};
+use ts_core::stream::GroupAcc;
 use ts_simnet::Ip;
 use ts_tls::server::ResumeKind;
 
@@ -63,8 +64,14 @@ pub fn session_cache_groups(
         |d| resuming.push(d.to_string()),
         |e| edges.push(e),
     );
-    let groups = groups::groups_from_edges(resuming.iter().map(|s| s.as_str()), &edges);
-    (groups, edges)
+    let mut acc = GroupAcc::exact();
+    for domain in &resuming {
+        acc.add(domain);
+    }
+    for e in &edges {
+        acc.link(&e.a, &e.b);
+    }
+    (acc.service_groups(), edges)
 }
 
 /// §5.1 streaming form: `on_resuming` fires once per domain that resumes
@@ -174,8 +181,11 @@ pub fn stek_sharing_scan(
         snapshot_offset,
         |s| sightings.push(s),
     );
-    let groups = groups::stek_groups(&sightings);
-    (groups, sightings)
+    let mut acc = GroupAcc::exact();
+    for s in &sightings {
+        acc.record(&s.domain, &s.stek_id, s.day);
+    }
+    (acc.service_groups(), sightings)
 }
 
 /// §5.2 streaming form: each ticket sighting goes to `on_sighting` as it
@@ -233,8 +243,13 @@ pub fn dh_sharing_scan(
     dh_sharing_scan_streaming(scanner, targets, now, window_secs, connections, |s| {
         sightings.push(s)
     });
-    let groups = groups::dh_groups(&sightings);
-    (groups, sightings)
+    // Both flavours in one accumulator: the paper groups them together
+    // in Table 7.
+    let mut acc = GroupAcc::exact();
+    for s in &sightings {
+        acc.record(&s.domain, &s.value_fp, s.day);
+    }
+    (acc.service_groups(), sightings)
 }
 
 /// §5.3 streaming form: each key-exchange sighting goes to `on_sighting`

@@ -217,9 +217,10 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::OnceLock;
-    use ts_core::lifetime::SpanEstimator;
     use ts_core::observations::KexKind;
+    use ts_core::stream::{DomainSpans, SpanAcc};
     use ts_population::{Population, PopulationConfig};
 
     fn pop() -> &'static Population {
@@ -229,6 +230,14 @@ mod tests {
             cfg.flakiness = 0.0;
             Population::build(cfg)
         })
+    }
+
+    fn stek_spans(data: &CampaignData) -> BTreeMap<String, DomainSpans> {
+        let mut est = SpanAcc::exact();
+        for s in &data.tickets {
+            est.record(&s.domain, &s.stek_id, s.day);
+        }
+        est.domain_spans()
     }
 
     fn mini_campaign(days: std::ops::Range<u64>, targets: Vec<String>) -> CampaignData {
@@ -241,9 +250,7 @@ mod tests {
     #[test]
     fn static_stek_domain_spans_whole_window() {
         let data = mini_campaign(0..10, vec!["yahoo.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_tickets(&data.tickets);
-        let spans = est.domain_spans();
+        let spans = stek_spans(&data);
         assert_eq!(spans["yahoo.sim"].max_span_days, 10);
         assert_eq!(spans["yahoo.sim"].distinct_ids, 1, "one STEK for 10 days");
     }
@@ -258,9 +265,7 @@ mod tests {
         let mut s = Scanner::new(&p, "daily-rotate");
         let options = CampaignOptions::new().days(0..6);
         let data = run_campaign(&mut s, &options, |_day| vec!["twitter.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_tickets(&data.tickets);
-        let spans = est.domain_spans();
+        let spans = stek_spans(&data);
         assert_eq!(spans["twitter.sim"].max_span_days, 1, "fresh STEK daily");
         assert_eq!(spans["twitter.sim"].distinct_ids, 6);
     }
@@ -269,16 +274,16 @@ mod tests {
     fn restart_rotation_observed_at_boundary() {
         // netflix.sim: STEK rotates every 54 days; in a 6-day window one id.
         let data = mini_campaign(0..6, vec!["netflix.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_tickets(&data.tickets);
-        assert_eq!(est.domain_spans()["netflix.sim"].distinct_ids, 1);
+        assert_eq!(stek_spans(&data)["netflix.sim"].distinct_ids, 1);
     }
 
     #[test]
     fn ecdhe_reuser_spans_and_fresh_domain_does_not() {
         let data = mini_campaign(0..5, vec!["whatsapp.sim".into(), "twitter.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_kex(&data.kex, KexKind::Ecdhe);
+        let mut est = SpanAcc::exact();
+        for s in data.kex.iter().filter(|s| s.kex == KexKind::Ecdhe) {
+            est.record(&s.domain, &s.value_fp, s.day);
+        }
         let spans = est.domain_spans();
         assert_eq!(spans["whatsapp.sim"].max_span_days, 5, "62-day ECDHE reuse");
         assert_eq!(spans["twitter.sim"].max_span_days, 1, "fresh values");

@@ -2,9 +2,10 @@
 //! session-ID and ticket resumption, expiry behaviour, failure injection.
 
 use std::sync::Arc;
+use ts_crypto::bignum::Ub;
 use ts_crypto::dh::DhGroup;
 use ts_crypto::drbg::HmacDrbg;
-use ts_crypto::rsa::RsaPrivateKey;
+use ts_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use ts_tls::cache::SharedSessionCache;
 use ts_tls::config::{ClientConfig, ResumptionOffer, ServerConfig, ServerIdentity};
 use ts_tls::ephemeral::{EphemeralCache, EphemeralPolicy};
@@ -357,6 +358,60 @@ fn no_common_suite_fails_with_alert() {
         matches!(err, TlsError::NoCommonSuite | TlsError::PeerAlert(_)),
         "{err:?}"
     );
+}
+
+#[test]
+fn even_rsa_modulus_from_server_fails_with_alert() {
+    // A hostile server can present an RSA key with an even modulus, which
+    // Montgomery arithmetic cannot use. As an intermediate it reaches the
+    // chain signature check; as an unverified leaf (how the scanner
+    // connects) it reaches the ServerKeyExchange verify and the premaster
+    // encryption. Either way the client must fail with a typed error and
+    // a fatal alert, not panic.
+    let env = build_env();
+    let signer = RsaPrivateKey::generate(512, &mut HmacDrbg::new(b"even-signer")).unwrap();
+    let mut modulus = [0xffu8; 64];
+    modulus[63] = 0xfe;
+    let even = RsaPublicKey::new(Ub::from_bytes_be(&modulus), Ub::from_u64(65_537));
+    let issue = |subject: &str, key: &RsaPublicKey, issuer: &str, is_ca: bool| {
+        let params = CertificateParams {
+            serial: 9,
+            subject: DistinguishedName::cn(subject),
+            validity: Validity {
+                not_before: 0,
+                not_after: u32::MAX as u64,
+            },
+            dns_names: vec![HOST.into()],
+            is_ca,
+        };
+        Certificate::issue(&params, key, &DistinguishedName::cn(issuer), &signer)
+    };
+    let chains = [
+        (
+            vec![
+                issue(HOST, &signer.public, "Even CA", false),
+                issue("Even CA", &even, "Test Root CA", true),
+            ],
+            true,
+        ),
+        (vec![issue(HOST, &even, "Even CA", false)], false),
+    ];
+    for (chain, verify_certs) in chains {
+        let mut cfg = server_config(&env, b"even");
+        cfg.identity = Arc::new(ServerIdentity {
+            chain,
+            key: signer.clone(),
+        });
+        let mut ccfg = ClientConfig::new(env.root_store.clone(), HOST, 100);
+        ccfg.verify_certs = verify_certs;
+        let mut client = ClientConn::new(ccfg, HmacDrbg::new(b"even-c"));
+        let mut server = ServerConn::new(cfg, HmacDrbg::new(b"even-s"), 100);
+        let err = pump(&mut client, &mut server).map(|_| ()).unwrap_err();
+        assert!(matches!(err, TlsError::Decode(_)), "{err:?}");
+        let mut alert = Vec::new();
+        client.write_tls(&mut alert).unwrap();
+        assert_eq!(alert, [21, 3, 3, 0, 2, 2, 50], "fatal decode_error alert");
+    }
 }
 
 #[test]

@@ -148,6 +148,11 @@ fn decode_spki(r: &mut Reader) -> Result<RsaPublicKey, DerError> {
     let n = rsa.read_integer()?;
     let e = rsa.read_integer()?;
     rsa.finish()?;
+    // Peer bytes become a key here, and every use of the key runs
+    // Montgomery arithmetic, which needs an odd modulus of at least 3.
+    if !n.is_odd() || n.bit_len() < 2 {
+        return Err(DerError::BadValue("RSA modulus must be odd and at least 3"));
+    }
     Ok(RsaPublicKey::new(n, e))
 }
 
@@ -474,6 +479,28 @@ mod tests {
         match Certificate::parse(&tampered) {
             Ok(parsed) => assert!(!parsed.verify_signature(&ca_key.public)),
             Err(_) => {} // structural break is fine too
+        }
+    }
+
+    #[test]
+    fn unusable_rsa_modulus_is_rejected_at_parse() {
+        // Montgomery arithmetic needs an odd modulus ≥ 3; a peer's key
+        // that breaks this must fail to parse, not panic on first use.
+        let ca_key = keypair(b"ca-even");
+        let mut even = [0xffu8; 64];
+        even[63] = 0xfe;
+        for n in [Ub::from_bytes_be(&even), Ub::from_u64(1)] {
+            let key = RsaPublicKey::new(n, Ub::from_u64(65_537));
+            let cert = Certificate::issue(
+                &sample_params(),
+                &key,
+                &DistinguishedName::cn("SimCA"),
+                &ca_key,
+            );
+            assert!(matches!(
+                Certificate::parse(&cert.der),
+                Err(DerError::BadValue(_))
+            ));
         }
     }
 

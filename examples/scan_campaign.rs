@@ -9,10 +9,9 @@
 //! (For the full per-table/figure output, use `cargo run --release -p
 //! ts-bench --bin repro`.)
 
-use tls_shortcuts::core::cdf::Cdf;
-use tls_shortcuts::core::lifetime::SpanEstimator;
 use tls_shortcuts::core::observations::KexKind;
 use tls_shortcuts::core::report::pct;
+use tls_shortcuts::core::stream::{CountCdf, SpanAcc};
 use tls_shortcuts::population::{Population, PopulationConfig};
 use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan};
 use tls_shortcuts::scanner::daily::{run_campaign, CampaignOptions};
@@ -47,9 +46,11 @@ fn main() {
     );
 
     // --- STEK lifetimes (Figure 3's shape). ---
-    let mut stek = SpanEstimator::new();
-    stek.record_tickets(&data.tickets);
-    let cdf = Cdf::from_samples(stek.max_spans());
+    let mut stek = SpanAcc::exact();
+    for s in &data.tickets {
+        stek.record(&s.domain, &s.stek_id, s.day);
+    }
+    let cdf = CountCdf::from_samples(stek.max_spans());
     println!("\nSTEK lifetime over {} ticket-issuing domains:", cdf.len());
     println!(
         "  fresh daily : {} (paper ~53% of issuers)",
@@ -59,10 +60,14 @@ fn main() {
     println!("  span ≥ 30d  : {} (paper ~13%)", pct(cdf.fraction_ge(30)));
 
     // --- KEX value reuse (Figure 5's shape). ---
-    let mut dhe = SpanEstimator::new();
-    dhe.record_kex(&data.kex, KexKind::Dhe);
-    let mut ecdhe = SpanEstimator::new();
-    ecdhe.record_kex(&data.kex, KexKind::Ecdhe);
+    let (mut dhe, mut ecdhe) = (SpanAcc::exact(), SpanAcc::exact());
+    for s in &data.kex {
+        let est = match s.kex {
+            KexKind::Dhe => &mut dhe,
+            KexKind::Ecdhe => &mut ecdhe,
+        };
+        est.record(&s.domain, &s.value_fp, s.day);
+    }
     let d7 = dhe.domains_with_span_at_least(7).len();
     let e7 = ecdhe.domains_with_span_at_least(7).len();
     println!("\nephemeral value reuse ≥7 days:");

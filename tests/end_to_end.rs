@@ -4,8 +4,8 @@
 
 use tls_shortcuts::attacker::passive::CapturedConnection;
 use tls_shortcuts::attacker::stek::decrypt_with_stolen_steks;
-use tls_shortcuts::core::lifetime::SpanEstimator;
 use tls_shortcuts::core::observations::KexKind;
+use tls_shortcuts::core::stream::SpanAcc;
 use tls_shortcuts::crypto::drbg::HmacDrbg;
 use tls_shortcuts::population::{Population, PopulationConfig};
 use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan};
@@ -32,8 +32,10 @@ fn campaign_spans_match_ground_truth_for_every_measured_domain() {
     let targets = core.clone();
     let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
 
-    let mut stek = SpanEstimator::new();
-    stek.record_tickets(&data.tickets);
+    let mut stek = SpanAcc::exact();
+    for s in &data.tickets {
+        stek.record(&s.domain, &s.stek_id, s.day);
+    }
     let spans = stek.domain_spans();
     let mut static_checked = 0;
     let mut daily_checked = 0;
@@ -79,8 +81,10 @@ fn kex_reuse_detected_only_where_configured() {
     let options = CampaignOptions::new().days(0..8);
     let targets = core.clone();
     let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
-    let mut ecdhe = SpanEstimator::new();
-    ecdhe.record_kex(&data.kex, KexKind::Ecdhe);
+    let mut ecdhe = SpanAcc::exact();
+    for s in data.kex.iter().filter(|s| s.kex == KexKind::Ecdhe) {
+        ecdhe.record(&s.domain, &s.value_fp, s.day);
+    }
     for (domain, ds) in ecdhe.domain_spans() {
         let truth = pop.truth.get(&domain).expect("truth");
         let configured = truth.ecdhe_reuse.unwrap_or(0);

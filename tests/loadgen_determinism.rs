@@ -8,11 +8,25 @@
 //!
 //! Own integration-test binary on purpose: telemetry metrics are global
 //! and monotone, so before/after snapshot deltas only isolate a run's
-//! contribution when nothing else in the process is generating load.
+//! contribution when nothing else in the process is generating load. The
+//! tests in this file take [`SERIAL`] for the same reason: the harness
+//! runs them on parallel threads by default.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use ts_loadgen::{LoadgenConfig, LoadgenReport, Mix};
 use ts_telemetry::{snapshot, Snapshot};
+
+/// Held for a whole test body, so no other test's load lands in its
+/// telemetry deltas.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still runs alone.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Run a profile against a deterministic fake clock and return the report
 /// plus the telemetry delta attributable to the run.
@@ -41,6 +55,7 @@ fn profile() -> LoadgenConfig {
 
 #[test]
 fn same_profile_repeats_identically() {
+    let _serial = serial();
     let cfg = profile();
     let (first, first_delta) = run_profile(&cfg);
     let (second, second_delta) = run_profile(&cfg);
@@ -72,6 +87,7 @@ fn same_profile_repeats_identically() {
 
 #[test]
 fn loadgen_counters_match_report_work() {
+    let _serial = serial();
     let cfg = profile();
     let (report, delta) = run_profile(&cfg);
     assert_eq!(

@@ -1,6 +1,8 @@
 //! The determinism claim, proved end to end: `repro` as two separate
 //! subprocesses — `--workers 1` vs `--workers 8` — must produce
 //! byte-identical stdout and byte-identical `--telemetry-json` artifacts.
+//! Checked for Table 6 (STEK groups) and Table 5 (session-cache groups,
+//! closed per target chunk and merged in chunk order).
 //!
 //! This is the strongest form of the guarantee the ts-lint determinism
 //! rules and the fixed-chunk `parallel_map` layout exist to uphold:
@@ -30,14 +32,14 @@ struct Run {
     telemetry: String,
 }
 
-fn run_repro(bin: &PathBuf, workers: usize, tag: &str) -> Run {
+fn run_repro(bin: &PathBuf, experiment: &str, workers: usize, tag: &str) -> Run {
     let json_path = std::env::temp_dir().join(format!(
-        "repro_det_{}_{tag}_w{workers}.telemetry.json",
+        "repro_det_{}_{experiment}_{tag}_w{workers}.telemetry.json",
         std::process::id()
     ));
     let output = Command::new(bin)
         .args([
-            "table6",
+            experiment,
             "--size",
             "300",
             "--seed",
@@ -64,37 +66,52 @@ fn run_repro(bin: &PathBuf, workers: usize, tag: &str) -> Run {
     }
 }
 
-#[test]
-fn repro_output_is_byte_identical_across_worker_counts() {
+/// Run `experiment` at `--workers 1`, `--workers 8` and a `--workers 1`
+/// replay; all three must agree byte for byte.
+fn assert_identical_across_workers(experiment: &str, header: &str) {
     let Some(bin) = repro_binary() else {
         eprintln!("skipping: target/release/repro not built (run `cargo build --release`)");
         return;
     };
-    let serial = run_repro(&bin, 1, "a");
-    let fanned = run_repro(&bin, 8, "b");
+    let serial = run_repro(&bin, experiment, 1, "a");
+    let fanned = run_repro(&bin, experiment, 8, "b");
 
     assert!(
-        !serial.stdout.is_empty() && serial.stdout.windows(7).any(|w| w == b"TABLE 6"),
-        "table6 produced no report on stdout"
+        !serial.stdout.is_empty()
+            && serial
+                .stdout
+                .windows(header.len())
+                .any(|w| w == header.as_bytes()),
+        "{experiment} produced no report on stdout"
     );
     assert_eq!(
         serial.stdout, fanned.stdout,
-        "stdout diverged between --workers 1 and --workers 8"
+        "{experiment} stdout diverged between --workers 1 and --workers 8"
     );
     assert_eq!(
         serial.telemetry, fanned.telemetry,
-        "telemetry artifacts diverged between --workers 1 and --workers 8"
+        "{experiment} telemetry artifacts diverged between --workers 1 and --workers 8"
     );
 
     // Same flags, separate process, different hash seeds: replaying the
     // run must also replay it exactly.
-    let replay = run_repro(&bin, 1, "c");
+    let replay = run_repro(&bin, experiment, 1, "c");
     assert_eq!(
         serial.stdout, replay.stdout,
-        "re-run with identical flags diverged"
+        "{experiment} re-run with identical flags diverged"
     );
     assert_eq!(
         serial.telemetry, replay.telemetry,
-        "telemetry re-run diverged"
+        "{experiment} telemetry re-run diverged"
     );
+}
+
+#[test]
+fn repro_output_is_byte_identical_across_worker_counts() {
+    assert_identical_across_workers("table6", "TABLE 6");
+}
+
+#[test]
+fn table5_output_is_byte_identical_across_worker_counts() {
+    assert_identical_across_workers("table5", "TABLE 5");
 }
