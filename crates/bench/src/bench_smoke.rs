@@ -116,11 +116,8 @@ fn rate(count: u64, secs: f64) -> String {
 const REC_BUF: usize = 16 * 1024;
 /// Iterations per record-layer probe: 1 MiB of traffic each.
 const REC_ITERS: u64 = 64;
-/// Scalar-multiplication count for the X25519 probes (multiple of 4 so the
-/// batched probe runs whole batches).
+/// Operation count for each key-exchange probe.
 const KEX_OPS: u64 = 16;
-/// Exponentiation pairs for the Straus multi-exponentiation probe.
-const STRAUS_PAIRS: u64 = 8;
 
 /// Time `f` processing `bytes` total and render one `record_layer` line.
 /// The dispatched and `_portable` variants run the same byte volume, so
@@ -191,11 +188,9 @@ fn record_layer_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     ]
 }
 
-/// Batched-vs-serial asymmetric probes: X25519 public-key derivation
-/// (serial ladder vs the 4-way interleaved ladder) and DHE server-side
-/// exponentiation (per-exponent `modpow` vs the shared-table
-/// `modpow_batch`, plus Straus `multi_modpow` vs a serial product).
-fn batch_kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
+/// Key-exchange probes: X25519 public-key derivation and DHE server-side
+/// exponentiation through the group's cached Montgomery context.
+fn kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     use ts_crypto::bignum::Ub;
     let secrets: Vec<[u8; 32]> = (0..KEX_OPS)
         .map(|i| {
@@ -211,38 +206,16 @@ fn batch_kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     let exps: Vec<Ub> = (0..KEX_OPS)
         .map(|i| Ub::from_bytes_be(&[&[0x33 + i as u8], &secrets[i as usize][..31]].concat()))
         .collect();
-    let pairs: Vec<(Ub, Ub)> = (0..STRAUS_PAIRS)
-        .map(|i| (Ub::from_u64(0x1_0001 + 2 * i), exps[i as usize].clone()))
-        .collect();
     vec![
         kex_probe("x25519_serial", KEX_OPS, now_nanos, || {
             for s in &secrets {
                 std::hint::black_box(ts_crypto::x25519::public_key(s));
             }
         }),
-        kex_probe("x25519_batch4", KEX_OPS, now_nanos, || {
-            for quad in secrets.chunks_exact(4) {
-                let lanes: [[u8; 32]; 4] = quad.try_into().expect("chunked by 4");
-                std::hint::black_box(ts_crypto::x25519::public_key_batch4(&lanes));
-            }
-        }),
         kex_probe("dhe_modpow_serial", KEX_OPS, now_nanos, || {
             for e in &exps {
                 std::hint::black_box(mont.modpow(g, e));
             }
-        }),
-        kex_probe("dhe_modpow_batch", KEX_OPS, now_nanos, || {
-            std::hint::black_box(mont.modpow_batch(g, &exps));
-        }),
-        kex_probe("straus_serial_product", STRAUS_PAIRS, now_nanos, || {
-            let mut acc = Ub::one();
-            for (b, e) in &pairs {
-                acc = acc.mul_mod(&mont.modpow(b, e), mont.modulus());
-            }
-            std::hint::black_box(acc);
-        }),
-        kex_probe("straus_multi_modpow", STRAUS_PAIRS, now_nanos, || {
-            std::hint::black_box(mont.multi_modpow(&pairs));
         }),
     ]
 }
@@ -260,7 +233,7 @@ fn batch_kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
 /// `mont_cache_hits`) and the measured `handshakes_per_sec` /
 /// `modexps_per_sec`; `record_layer[]` compares the CPU-dispatched AEAD
 /// kernels against their in-binary scalar references; `batch_kex[]`
-/// compares batched against serial asymmetric kernels; `totals`
+/// times X25519 key derivation and DHE exponentiation; `totals`
 /// aggregates across families.
 pub fn run(now_nanos: &dyn Fn() -> u64) -> String {
     let w = smoke_world();
@@ -294,11 +267,11 @@ pub fn run(now_nanos: &dyn Fn() -> u64) -> String {
             rate(modexps, secs),
         ));
     }
-    // Record-layer and batched-kex probes run after the suite loop so
+    // Record-layer and key-exchange probes run after the suite loop so
     // their modexp/counter traffic can't perturb the per-suite deltas
     // pinned against BENCH_5.json.
     let record_lines = record_layer_probes(now_nanos);
-    let kex_lines = batch_kex_probes(now_nanos);
+    let kex_lines = kex_probes(now_nanos);
     format!(
         "{{\n  \"schema\": \"bench-smoke/v2\",\n  \"suites\": [\n{}\n  ],\n  \
          \"record_layer\": [\n{}\n  ],\n  \

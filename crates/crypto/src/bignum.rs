@@ -4,7 +4,7 @@
 //! Diffie-Hellman ([`crate::dh`]) and RSA ([`crate::rsa`]). Little-endian
 //! `u64` limbs with `u128` intermediates, schoolbook multiplication, Knuth
 //! Algorithm D division, and windowed Montgomery modular exponentiation
-//! (odd moduli — DH primes and RSA moduli always are).
+//! (odd moduli of up to 4096 bits — DH primes and RSA moduli always are).
 //!
 //! The representation is normalized: no trailing zero limbs; zero is the
 //! empty limb vector.
@@ -13,7 +13,7 @@
 //!
 //! The daily campaign performs a full handshake per domain per day, and
 //! each handshake pays for at least one RSA signature plus one or two DHE
-//! exponentiations through this module. Three choices keep that affordable:
+//! exponentiations through this module. Four choices keep that affordable:
 //!
 //! * **64-bit limbs.** Halves the limb count versus u32 limbs and lets the
 //!   inner loops run on `u128` products, roughly quartering the word-level
@@ -21,18 +21,28 @@
 //! * **Reusable [`Montgomery`] contexts.** `R² mod n` and `n0inv` cost a
 //!   full-width multiply plus a long division; [`Montgomery::new`] runs
 //!   once per fixed modulus (cached by `dh`/`rsa`) instead of once per
-//!   `modpow`. All scratch space inside an exponentiation is allocated
-//!   once up front and reused — nothing allocates inside the window loop.
+//!   `modpow`.
+//! * **Fixed-width kernels.** All Montgomery arithmetic is one
+//!   const-generic kernel over `[u64; N]` stack arrays, instantiated at 4,
+//!   8, 16, 32 and 64 limbs. A context pads its modulus with zero limbs to
+//!   the narrowest width that holds it and uses `R = 2^(64N)`: Montgomery
+//!   reduction only needs an odd `n < R`, so a 320-bit modulus runs in the
+//!   8-limb kernel unchanged. Every loop has a compile-time trip count, and
+//!   an exponentiation's table, accumulator and products live on the
+//!   stack. Moduli wider than 4096 bits have no kernel: [`Montgomery::new`]
+//!   panics on them, and [`Ub::modpow`] and [`is_probable_prime`] take the
+//!   division-based loop instead.
 //! * **Fixed-window exponentiation.** `modpow` processes the exponent in
-//!   4-bit windows over a 16-entry precomputed table, with a dedicated
-//!   squaring routine for the ~4 squarings per window. The table lookup is
-//!   a constant-time full-table scan ([`crate::ct::ct_select_u64`]), so a
-//!   secret exponent window never forms a memory address.
+//!   4-bit windows over a 16-entry precomputed table: a CIOS multiply per
+//!   window, with a dedicated SOS squaring for the four squarings between
+//!   windows. The table lookup is a constant-time full-table scan
+//!   ([`crate::ct::ct_select_u64`]), so a secret exponent window never
+//!   forms a memory address.
 //!
-//! The conditional final subtraction inside Montgomery reduction is
-//! value-dependent (as in the original implementation); the constant-time
-//! guarantee here is scoped to the table scan, which is the only
-//! secret-*indexed* access pattern.
+//! The final subtraction of every Montgomery product always runs, and a
+//! mask, not a branch, keeps or drops it, so neither the table scan nor
+//! the reduction depends on operand values. The number of windows does
+//! follow the exponent's bit length.
 
 use crate::error::CryptoError;
 use ts_telemetry::Counter;
@@ -425,11 +435,12 @@ impl Ub {
 
     /// Modular exponentiation `self^exp mod modulus`.
     ///
-    /// Uses windowed Montgomery multiplication for odd moduli (the common
-    /// case for DH primes and RSA), falling back to square-and-multiply
-    /// with division-based reduction otherwise. Callers exponentiating
-    /// repeatedly against a fixed modulus should hold a [`Montgomery`]
-    /// context instead — this entry point rebuilds one per call.
+    /// Uses windowed Montgomery multiplication for odd moduli of up to 4096
+    /// bits (the common case for DH primes and RSA), falling back to
+    /// square-and-multiply with division-based reduction otherwise. Callers
+    /// exponentiating repeatedly against a fixed modulus should hold a
+    /// [`Montgomery`] context instead — this entry point rebuilds one per
+    /// call.
     pub fn modpow(&self, exp: &Ub, modulus: &Ub) -> Ub {
         assert!(!modulus.is_zero(), "zero modulus");
         if modulus.limbs == [1] {
@@ -438,21 +449,19 @@ impl Ub {
         if exp.is_zero() {
             return Ub::one();
         }
-        if modulus.is_odd() {
-            Montgomery::new(modulus).modpow(self, exp)
-        } else {
-            MODEXP_TOTAL.inc();
-            let mut result = Ub::one();
-            let base = self.rem(modulus);
-            let bits = exp.bit_len();
-            for i in (0..bits).rev() {
-                result = result.mul_mod(&result, modulus);
-                if exp.bit(i) {
-                    result = result.mul_mod(&base, modulus);
-                }
-            }
-            result
+        if Montgomery::accepts(modulus) {
+            return Montgomery::new(modulus).modpow(self, exp);
         }
+        MODEXP_TOTAL.inc();
+        let mut result = Ub::one();
+        let base = self.rem(modulus);
+        for i in (0..exp.bit_len()).rev() {
+            result = result.mul_mod(&result, modulus);
+            if exp.bit(i) {
+                result = result.mul_mod(&base, modulus);
+            }
+        }
+        result
     }
 
     /// Greatest common divisor (Euclid).
@@ -521,8 +530,10 @@ fn sub_signed(a: &(Ub, bool), b: &(Ub, bool)) -> (Ub, bool) {
 const WINDOW_BITS: usize = 4;
 /// Precomputed-table size: one entry per window value.
 const TABLE_SIZE: usize = 1 << WINDOW_BITS;
+/// Limb count of the widest kernel: moduli up to 4096 bits.
+const MAX_LIMBS: usize = 64;
 
-/// Montgomery context for a fixed odd modulus.
+/// Montgomery context for a fixed odd modulus of at most 4096 bits.
 ///
 /// Holds everything that depends only on the modulus — `n0inv`, `R² mod n`
 /// and `R mod n` — so repeated exponentiations against the same modulus
@@ -532,10 +543,33 @@ const TABLE_SIZE: usize = 1 << WINDOW_BITS;
 #[derive(Clone)]
 pub struct Montgomery {
     n: Ub,
-    n0inv: u64,   // -n^{-1} mod 2^64
-    rr: Vec<u64>, // R^2 mod n, R = 2^(64*k), padded to k limbs
-    r1: Vec<u64>, // R mod n (the Montgomery form of 1), padded to k limbs
-    width: usize, // limb count of n
+    kernel: Kernel,
+}
+
+/// The modulus constants at the narrowest kernel width that holds `n`.
+/// Boxed so a context stays a few words wherever it is embedded (every
+/// `RsaPublicKey` carries a lazy one) instead of the widest kernel's
+/// 1.5 KiB.
+#[derive(Clone)]
+enum Kernel {
+    L4(Box<Fixed<4>>),
+    L8(Box<Fixed<8>>),
+    L16(Box<Fixed<16>>),
+    L32(Box<Fixed<32>>),
+    L64(Box<Fixed<64>>),
+}
+
+/// Evaluate `$body` with `$k` bound to whichever width `$kernel` holds.
+macro_rules! with_kernel {
+    ($kernel:expr, $k:ident => $body:expr) => {
+        match $kernel {
+            Kernel::L4($k) => $body,
+            Kernel::L8($k) => $body,
+            Kernel::L16($k) => $body,
+            Kernel::L32($k) => $body,
+            Kernel::L64($k) => $body,
+        }
+    };
 }
 
 impl crate::wipe::Wipe for Montgomery {
@@ -544,43 +578,34 @@ impl crate::wipe::Wipe for Montgomery {
     /// Like `Ub`, wiping is the owner's job, not a `Drop`.
     fn wipe(&mut self) {
         self.n.wipe();
-        crate::wipe::wipe_u64s(&mut self.rr);
-        self.rr.clear();
-        crate::wipe::wipe_u64s(&mut self.r1);
-        self.r1.clear();
-        self.n0inv = 0;
-        self.width = 0;
+        with_kernel!(&mut self.kernel, k => k.wipe());
     }
 }
 
 impl Montgomery {
-    /// Build a context. Panics if the modulus is even or < 3.
+    /// Build a context. Panics if the modulus is even, below 3, or wider
+    /// than 4096 bits.
     pub fn new(modulus: &Ub) -> Self {
         assert!(modulus.is_odd(), "Montgomery requires odd modulus");
         assert!(modulus.bit_len() >= 2, "modulus too small");
-        let k = modulus.limbs.len();
-        // n0inv = -n^{-1} mod 2^64 via Newton iteration; each round doubles
-        // the number of correct low bits (1 → 64 needs six rounds).
-        let n0 = modulus.limbs[0];
-        let mut inv = 1u64;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        let n0inv = inv.wrapping_neg();
-        // R mod n and R^2 mod n where R = 2^(64k).
-        let r1_ub = Ub::one().shl(64 * k).rem(modulus);
-        let rr_ub = r1_ub.mul(&r1_ub).rem(modulus);
-        let mut r1 = r1_ub.limbs;
-        r1.resize(k, 0);
-        let mut rr = rr_ub.limbs;
-        rr.resize(k, 0);
+        let kernel = match modulus.limbs.len() {
+            1..=4 => Kernel::L4(Fixed::new(modulus)),
+            5..=8 => Kernel::L8(Fixed::new(modulus)),
+            9..=16 => Kernel::L16(Fixed::new(modulus)),
+            17..=32 => Kernel::L32(Fixed::new(modulus)),
+            33..=MAX_LIMBS => Kernel::L64(Fixed::new(modulus)),
+            _ => panic!("Montgomery modulus wider than 4096 bits"),
+        };
         Montgomery {
             n: modulus.clone(),
-            n0inv,
-            rr,
-            r1,
-            width: k,
+            kernel,
         }
+    }
+
+    /// Whether [`Montgomery::new`] takes `modulus`: odd, at least 3, and at
+    /// most 4096 bits wide.
+    pub fn accepts(modulus: &Ub) -> bool {
+        modulus.is_odd() && modulus.bit_len() >= 2 && modulus.limbs.len() <= MAX_LIMBS
     }
 
     /// The modulus this context reduces by.
@@ -588,223 +613,16 @@ impl Montgomery {
         &self.n
     }
 
-    /// Scratch length required by the `*_assign` routines.
-    fn scratch_len(&self) -> usize {
-        2 * self.width + 1
-    }
-
-    /// Montgomery product in place: `a ← a * b * R^{-1} mod n` (CIOS).
-    ///
-    /// `a` and `b` are `width` limbs; `t` is caller-provided scratch of at
-    /// least [`Self::scratch_len`] limbs. No allocation.
-    fn mont_mul_assign(&self, a: &mut [u64], b: &[u64], t: &mut [u64]) {
-        let k = self.width;
-        let n = &self.n.limbs;
-        let t = &mut t[..k + 2];
-        t.fill(0);
-        for i in 0..k {
-            let ai = a[i] as u128;
-            // t += a_i * b
-            let mut carry = 0u128;
-            for j in 0..k {
-                let sum = t[j] as u128 + ai * b[j] as u128 + carry;
-                t[j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t[k] as u128 + carry;
-            t[k] = sum as u64;
-            t[k + 1] = (sum >> 64) as u64;
-            // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n0inv) as u128;
-            let mut carry = (t[0] as u128 + m * n[0] as u128) >> 64;
-            for j in 1..k {
-                let sum = t[j] as u128 + m * n[j] as u128 + carry;
-                t[j - 1] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t[k] as u128 + carry;
-            t[k - 1] = sum as u64;
-            t[k] = t[k + 1].wrapping_add((sum >> 64) as u64);
-            t[k + 1] = 0;
-        }
-        self.reduce_into(&t[..=k], a);
-    }
-
-    /// Montgomery squaring in place: `a ← a² * R^{-1} mod n`.
-    ///
-    /// Dedicated SOS routine: computes the off-diagonal half of the square,
-    /// doubles it with one shift, adds the diagonal, then runs a separate
-    /// Montgomery reduction — ~1.5× the speed of `mont_mul_assign` with
-    /// itself. `t` is scratch of at least [`Self::scratch_len`] limbs.
-    fn mont_sqr_assign(&self, a: &mut [u64], t: &mut [u64]) {
-        let k = self.width;
-        let n = &self.n.limbs;
-        let t = &mut t[..2 * k + 1];
-        t.fill(0);
-        // Off-diagonal products (i < j); position i+k is first touched here.
-        for i in 0..k {
-            let ai = a[i] as u128;
-            let mut carry = 0u128;
-            for j in (i + 1)..k {
-                let sum = t[i + j] as u128 + ai * a[j] as u128 + carry;
-                t[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            t[i + k] = carry as u64;
-        }
-        // Double the cross terms, then add the diagonal a_i².
-        let mut top = 0u64;
-        for limb in t[..2 * k].iter_mut() {
-            let next = *limb >> 63;
-            *limb = (*limb << 1) | top;
-            top = next;
-        }
-        t[2 * k] = top;
-        let mut carry = 0u64;
-        for i in 0..k {
-            let d = a[i] as u128 * a[i] as u128;
-            let s0 = t[2 * i] as u128 + (d as u64) as u128 + carry as u128;
-            t[2 * i] = s0 as u64;
-            let s1 = t[2 * i + 1] as u128 + (d >> 64) + (s0 >> 64);
-            t[2 * i + 1] = s1 as u64;
-            carry = (s1 >> 64) as u64;
-        }
-        t[2 * k] += carry;
-        // Montgomery reduction of the 2k-limb square.
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0inv) as u128;
-            let mut carry = 0u128;
-            for j in 0..k {
-                let sum = t[i + j] as u128 + m * n[j] as u128 + carry;
-                t[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let sum = t[idx] as u128 + carry;
-                t[idx] = sum as u64;
-                carry = sum >> 64;
-                idx += 1;
-            }
-        }
-        let (_, hi) = t.split_at(k);
-        self.reduce_into(hi, a);
-    }
-
-    /// Write `t mod n` into `out`, where `t` is `width + 1` limbs and
-    /// `t < 2n` (the CIOS/SOS postcondition): at most one subtraction.
-    fn reduce_into(&self, t: &[u64], out: &mut [u64]) {
-        let k = self.width;
-        let n = &self.n.limbs;
-        let ge = t[k] != 0 || !limbs_lt(&t[..k], n);
-        if ge {
-            let mut borrow = 0u64;
-            for i in 0..k {
-                let (d1, b1) = t[i].overflowing_sub(n[i]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[i] = d2;
-                borrow = (b1 | b2) as u64;
-            }
-            debug_assert_eq!(borrow, t[k]);
-        } else {
-            out.copy_from_slice(&t[..k]);
-        }
-    }
-
     /// `base^exp mod n`.
     ///
-    /// Fixed-window (w = 4) exponentiation: 16 precomputed odd-and-even
-    /// powers in the Montgomery domain, four dedicated squarings per
-    /// window, and a constant-time full-table scan for the window lookup —
-    /// every table entry is read and masked with
-    /// [`crate::ct::ct_select_u64`], so the (possibly secret) window value
-    /// never selects a memory address. All scratch is allocated once
-    /// before the loop.
+    /// Fixed-window (w = 4) exponentiation: 16 precomputed powers in the
+    /// Montgomery domain, four dedicated squarings per window, and a
+    /// constant-time full-table scan for the window lookup — every table
+    /// entry is read and masked with [`crate::ct::ct_select_u64`], so the
+    /// (possibly secret) window value never selects a memory address. The
+    /// table, accumulator and every product are `[u64; N]` stack arrays.
     pub fn modpow(&self, base: &Ub, exp: &Ub) -> Ub {
         MODEXP_TOTAL.inc();
-        let mut scratch = vec![0u64; self.scratch_len()];
-        let table = self.build_window_table(base, &mut scratch);
-        let mut operand = vec![0u64; self.width];
-        self.modpow_with_table(&table, exp, &mut scratch, &mut operand)
-    }
-
-    /// Several exponentiations of the *same* base: `base^e mod n` for each
-    /// `e` in `exps`.
-    ///
-    /// The 16-entry window table costs 15 Montgomery multiplies to build;
-    /// a batch pays that once instead of once per exponent, which is the
-    /// dominant fixed cost for the short exponents in the simulation's DH
-    /// groups. Results are bit-identical to serial [`Montgomery::modpow`]
-    /// calls (same table, same window walk).
-    pub fn modpow_batch(&self, base: &Ub, exps: &[Ub]) -> Vec<Ub> {
-        let mut scratch = vec![0u64; self.scratch_len()];
-        let table = self.build_window_table(base, &mut scratch);
-        let mut operand = vec![0u64; self.width];
-        exps.iter()
-            .map(|exp| {
-                MODEXP_TOTAL.inc();
-                self.modpow_with_table(&table, exp, &mut scratch, &mut operand)
-            })
-            .collect()
-    }
-
-    /// Straus/Shamir multi-exponentiation: `∏ gᵢ^eᵢ mod n` in one pass.
-    ///
-    /// All factors share a single squaring chain — each 4-bit window
-    /// position squares the accumulator four times *once*, then multiplies
-    /// in every base's table entry — so the squaring work (the bulk of an
-    /// exponentiation) is paid once instead of once per factor. The
-    /// per-base window lookups use the same constant-time full-table scan
-    /// as [`Montgomery::modpow`]. Counts one modexp per factor in
-    /// telemetry, since that is the serial work it replaces.
-    pub fn multi_modpow(&self, pairs: &[(Ub, Ub)]) -> Ub {
-        if pairs.is_empty() {
-            return Ub::one().rem(&self.n);
-        }
-        let mut scratch = vec![0u64; self.scratch_len()];
-        let tables: Vec<Vec<u64>> = pairs
-            .iter()
-            .map(|(base, _)| {
-                MODEXP_TOTAL.inc();
-                self.build_window_table(base, &mut scratch)
-            })
-            .collect();
-        let bits = pairs
-            .iter()
-            .map(|(_, e)| e.bit_len())
-            .max()
-            .expect("non-empty");
-        let windows = bits.div_ceil(WINDOW_BITS);
-        let mut result = self.r1.clone();
-        let mut operand = vec![0u64; self.width];
-        for w in (0..windows).rev() {
-            if w + 1 != windows {
-                for _ in 0..WINDOW_BITS {
-                    self.mont_sqr_assign(&mut result, &mut scratch);
-                }
-            }
-            for (table, (_, exp)) in tables.iter().zip(pairs.iter()) {
-                let mut win = 0u64;
-                for b in 0..WINDOW_BITS {
-                    win |= (exp.bit(w * WINDOW_BITS + b) as u64) << b;
-                }
-                self.ct_table_scan(table, win, &mut operand);
-                self.mont_mul_assign(&mut result, &operand, &mut scratch);
-            }
-        }
-        // Convert out of the Montgomery domain: multiply by plain 1.
-        operand.fill(0);
-        operand[0] = 1;
-        self.mont_mul_assign(&mut result, &operand, &mut scratch);
-        let mut out = Ub { limbs: result };
-        out.normalize();
-        out
-    }
-
-    /// Build the fixed-window table for `base`: `table[w] = base^w` in
-    /// Montgomery form, `table[0] = Montgomery(1)`.
-    fn build_window_table(&self, base: &Ub, scratch: &mut [u64]) -> Vec<u64> {
-        let k = self.width;
         let reduced;
         let base = if base.cmp_to(&self.n) == std::cmp::Ordering::Less {
             base
@@ -812,76 +630,211 @@ impl Montgomery {
             reduced = base.rem(&self.n);
             &reduced
         };
-        let mut table = vec![0u64; TABLE_SIZE * k];
-        table[..k].copy_from_slice(&self.r1);
-        {
-            let (_, entry1) = table.split_at_mut(k);
-            entry1[..base.limbs.len()].copy_from_slice(&base.limbs);
-            self.mont_mul_assign(&mut entry1[..k], &self.rr, scratch);
-        }
-        for w in 2..TABLE_SIZE {
-            let (lo, hi) = table.split_at_mut(w * k);
-            hi[..k].copy_from_slice(&lo[(w - 1) * k..]);
-            self.mont_mul_assign(&mut hi[..k], &lo[k..2 * k], scratch);
-        }
-        table
-    }
-
-    /// Constant-time table scan: touch all 16 entries, keep `win`'s.
-    fn ct_table_scan(&self, table: &[u64], win: u64, operand: &mut [u64]) {
-        let k = self.width;
-        operand.fill(0);
-        for (idx, entry) in table.chunks_exact(k).enumerate() {
-            let mask = crate::ct::ct_eq_u64_mask(idx as u64, win);
-            for (o, &e) in operand.iter_mut().zip(entry.iter()) {
-                *o = crate::ct::ct_select_u64(mask, e, *o);
-            }
-        }
-    }
-
-    /// The window walk of [`Montgomery::modpow`] over a prebuilt table.
-    fn modpow_with_table(
-        &self,
-        table: &[u64],
-        exp: &Ub,
-        scratch: &mut [u64],
-        operand: &mut [u64],
-    ) -> Ub {
-        let mut result = self.r1.clone();
-        let bits = exp.bit_len();
-        let windows = bits.div_ceil(WINDOW_BITS);
-        for w in (0..windows).rev() {
-            if w + 1 != windows {
-                for _ in 0..WINDOW_BITS {
-                    self.mont_sqr_assign(&mut result, scratch);
-                }
-            }
-            let mut win = 0u64;
-            for b in 0..WINDOW_BITS {
-                win |= (exp.bit(w * WINDOW_BITS + b) as u64) << b;
-            }
-            self.ct_table_scan(table, win, operand);
-            self.mont_mul_assign(&mut result, operand, scratch);
-        }
-        // Convert out of the Montgomery domain: multiply by plain 1.
-        operand.fill(0);
-        operand[0] = 1;
-        self.mont_mul_assign(&mut result, operand, scratch);
-        let mut out = Ub { limbs: result };
-        out.normalize();
-        out
+        with_kernel!(&self.kernel, k => k.modpow(base, exp))
     }
 }
 
-/// Little-endian limb-slice comparison: `a < b` for equal lengths.
-fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] < b[i];
+/// Montgomery arithmetic modulo an odd `n` with `R = 2^(64N)`, on `N`-limb
+/// stack arrays so every loop has a compile-time trip count. A modulus
+/// narrower than `N` limbs is zero-padded: `R` only has to exceed `n`.
+///
+/// Every operand and result is fully reduced (below `n`).
+#[derive(Clone)]
+struct Fixed<const N: usize> {
+    n: [u64; N],
+    n0inv: u64,   // -n^{-1} mod 2^64
+    rr: [u64; N], // R^2 mod n
+    r1: [u64; N], // R mod n, the Montgomery form of 1
+}
+
+impl<const N: usize> crate::wipe::Wipe for Fixed<N> {
+    fn wipe(&mut self) {
+        crate::wipe::wipe_u64s(&mut self.n);
+        crate::wipe::wipe_u64s(&mut self.rr);
+        crate::wipe::wipe_u64s(&mut self.r1);
+        self.n0inv = 0;
+    }
+}
+
+impl<const N: usize> Fixed<N> {
+    /// The constants for an odd `modulus` of at most `N` limbs.
+    fn new(modulus: &Ub) -> Box<Self> {
+        // n0inv = -n^{-1} mod 2^64 via Newton iteration; each round doubles
+        // the number of correct low bits (1 → 64 needs six rounds).
+        let n0 = modulus.limbs[0];
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        let r1 = Ub::one().shl(64 * N).rem(modulus);
+        let rr = r1.mul(&r1).rem(modulus);
+        Box::new(Fixed {
+            n: to_limbs(modulus),
+            n0inv: inv.wrapping_neg(),
+            rr: to_limbs(&rr),
+            r1: to_limbs(&r1),
+        })
+    }
+
+    /// `base^exp mod n` for `base < n`.
+    fn modpow(&self, base: &Ub, exp: &Ub) -> Ub {
+        let mut table = [[0u64; N]; TABLE_SIZE];
+        table[0] = self.r1;
+        table[1] = self.mul(&to_limbs(base), &self.rr);
+        for w in 2..TABLE_SIZE {
+            table[w] = self.mul(&table[w - 1], &table[1]);
+        }
+        let mut acc = self.r1;
+        let windows = exp.bit_len().div_ceil(WINDOW_BITS);
+        for w in (0..windows).rev() {
+            if w + 1 != windows {
+                for _ in 0..WINDOW_BITS {
+                    acc = self.sqr(&acc);
+                }
+            }
+            // A window never straddles a limb: WINDOW_BITS divides 64.
+            let bit = w * WINDOW_BITS;
+            let win = (exp.limbs[bit / 64] >> (bit % 64)) & (TABLE_SIZE as u64 - 1);
+            acc = self.mul(&acc, &ct_lookup(&table, win));
+        }
+        // Out of the Montgomery domain: acc·R⁻¹, below n since acc is.
+        let mut out = Ub {
+            limbs: self.redc(acc).to_vec(),
+        };
+        out.normalize();
+        out
+    }
+
+    /// `a·b·R⁻¹ mod n` (CIOS). Each limb of `a` adds `a_i·b` and the
+    /// multiple `m·n` that clears the low limb in one pass, shifting the
+    /// accumulator down a limb as it goes; the accumulator stays below 2n.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut t = [0u64; N];
+        let mut hi = 0u64;
+        for &ai in a {
+            let ai = ai as u128;
+            let s = t[0] as u128 + ai * b[0] as u128;
+            let m = (s as u64).wrapping_mul(self.n0inv) as u128;
+            let mut c1 = s >> 64;
+            let mut c2 = ((s as u64) as u128 + m * self.n[0] as u128) >> 64;
+            for j in 1..N {
+                let s = t[j] as u128 + ai * b[j] as u128 + c1;
+                c1 = s >> 64;
+                let s = (s as u64) as u128 + m * self.n[j] as u128 + c2;
+                c2 = s >> 64;
+                t[j - 1] = s as u64;
+            }
+            let s = hi as u128 + c1 + c2;
+            t[N - 1] = s as u64;
+            hi = (s >> 64) as u64;
+        }
+        self.sub_n_if_ge(t, hi)
+    }
+
+    /// `a²·R⁻¹ mod n` (SOS): the cross products once, doubled, plus the
+    /// diagonal, then [`Self::redc`] of the low half. About three quarters
+    /// of the word products of `mul(a, a)`.
+    fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        let mut wide = [[0u64; N]; 2];
+        let t = wide.as_flattened_mut();
+        for i in 0..N {
+            let ai = a[i] as u128;
+            let mut c = 0u128;
+            for j in i + 1..N {
+                let s = t[i + j] as u128 + ai * a[j] as u128 + c;
+                t[i + j] = s as u64;
+                c = s >> 64;
+            }
+            t[i + N] = c as u64;
+        }
+        // Double the cross products (a² < R², so no bit shifts out), then
+        // add the diagonal a_i².
+        let mut top = 0u64;
+        for limb in t.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | top;
+            top = next;
+        }
+        let mut c = 0u128;
+        for i in 0..N {
+            let d = a[i] as u128 * a[i] as u128;
+            let s = t[2 * i] as u128 + (d as u64) as u128 + c;
+            t[2 * i] = s as u64;
+            let s = t[2 * i + 1] as u128 + (d >> 64) + (s >> 64);
+            t[2 * i + 1] = s as u64;
+            c = s >> 64;
+        }
+        // (lo + hi·R)·R⁻¹ = hi + redc(lo). The terms are at most n - 1
+        // (hi = ⌊a²/R⌋ < n²/R) and n, so the sum is below 2n.
+        let [lo, hi] = wide;
+        let u = self.redc(lo);
+        let mut sum = [0u64; N];
+        let mut carry = 0u64;
+        for i in 0..N {
+            let s = u[i] as u128 + hi[i] as u128 + carry as u128;
+            sum[i] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        self.sub_n_if_ge(sum, carry)
+    }
+
+    /// Montgomery reduction of a single-width `t`: `(t + m·n)/R` for the
+    /// `m < R` that makes the division exact. The result is at most `n`,
+    /// and below `n` when `t` is. After `k` of the `N` steps the value is
+    /// `(t + m_k·n)/2^(64k) ≤ n + (R - 1 - n)/2^(64k) < R` for the partial
+    /// `m_k < 2^(64k)`, so it needs no word above `N` limbs.
+    fn redc(&self, mut t: [u64; N]) -> [u64; N] {
+        for _ in 0..N {
+            let m = t[0].wrapping_mul(self.n0inv) as u128;
+            let mut c = (t[0] as u128 + m * self.n[0] as u128) >> 64;
+            for j in 1..N {
+                let s = t[j] as u128 + m * self.n[j] as u128 + c;
+                t[j - 1] = s as u64;
+                c = s >> 64;
+            }
+            t[N - 1] = c as u64;
+        }
+        t
+    }
+
+    /// `t + hi·R` brought into `[0, n)`, given it is below `2n`. The
+    /// subtraction always runs; a mask, not a branch, keeps `t` when it
+    /// borrowed out of a value with no high word (i.e. `t < n`).
+    fn sub_n_if_ge(&self, t: [u64; N], hi: u64) -> [u64; N] {
+        let mut d = [0u64; N];
+        let mut borrow = 0u64;
+        for i in 0..N {
+            let (d1, b1) = t[i].overflowing_sub(self.n[i]);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            d[i] = d2;
+            borrow = (b1 | b2) as u64;
+        }
+        let keep_t = (borrow & !hi).wrapping_neg();
+        for i in 0..N {
+            d[i] = crate::ct::ct_select_u64(keep_t, t[i], d[i]);
+        }
+        d
+    }
+}
+
+/// `x` as `N` little-endian limbs (`x` must fit).
+fn to_limbs<const N: usize>(x: &Ub) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..x.limbs.len()].copy_from_slice(&x.limbs);
+    out
+}
+
+/// `table[win]` by a constant-time scan: every entry is read and masked,
+/// so the (secret) window value never forms an address.
+fn ct_lookup<const N: usize>(table: &[[u64; N]; TABLE_SIZE], win: u64) -> [u64; N] {
+    let mut out = [0u64; N];
+    for (idx, entry) in table.iter().enumerate() {
+        let mask = crate::ct::ct_eq_u64_mask(idx as u64, win);
+        for (o, &e) in out.iter_mut().zip(entry) {
+            *o = crate::ct::ct_select_u64(mask, e, *o);
         }
     }
-    false
+    out
 }
 
 /// Generate a uniformly random value in `[0, bound)` using rejection
@@ -933,14 +886,17 @@ pub fn is_probable_prime(n: &Ub, rounds: usize, mut fill: impl FnMut(&mut [u8]))
         d = d.shr(1);
         s += 1;
     }
-    // n survived the small-prime sieve, so it is odd: one Montgomery
-    // context serves every round's exponentiation.
-    let mont = Montgomery::new(n);
+    // n survived the small-prime sieve, so it is odd: up to 4096 bits one
+    // Montgomery context serves every round's exponentiation.
+    let mont = Montgomery::accepts(n).then(|| Montgomery::new(n));
     let two = Ub::from_u64(2);
     let bound = n.sub(&Ub::from_u64(3)); // bases in [2, n-2]
     'outer: for _ in 0..rounds {
         let a = random_below(&bound, &mut fill).add(&two);
-        let mut x = mont.modpow(&a, &d);
+        let mut x = match &mont {
+            Some(mont) => mont.modpow(&a, &d),
+            None => a.modpow(&d, n),
+        };
         if x == Ub::one() || x == n_minus_1 {
             continue;
         }
@@ -1191,65 +1147,31 @@ mod tests {
     }
 
     #[test]
-    fn modpow_batch_matches_serial() {
-        // The shared-table batch against one modpow per exponent, over
-        // exponents of very different lengths (including zero).
-        let mut fill = fill_counter();
-        let m = Ub::from_hex("ffffffffffffffffffffffffffffff61");
-        let mont = Montgomery::new(&m);
-        let mut bbuf = [0u8; 16];
-        fill(&mut bbuf);
-        let base = Ub::from_bytes_be(&bbuf);
-        let mut exps = vec![Ub::zero(), Ub::one(), Ub::from_u64(65537)];
-        for _ in 0..5 {
-            let mut ebuf = [0u8; 16];
-            fill(&mut ebuf);
-            exps.push(Ub::from_bytes_be(&ebuf));
-        }
-        let batched = mont.modpow_batch(&base, &exps);
-        assert_eq!(batched.len(), exps.len());
-        for (e, got) in exps.iter().zip(&batched) {
-            assert_eq!(got, &mont.modpow(&base, e), "exp {}", e.to_hex());
-        }
+    #[should_panic(expected = "wider than 4096 bits")]
+    fn montgomery_rejects_moduli_past_the_widest_kernel() {
+        let widest = Ub::one().shl(4095).add(&Ub::one());
+        assert!(Montgomery::accepts(&widest));
+        let past = Ub::one().shl(4096).add(&Ub::one());
+        assert!(!Montgomery::accepts(&past));
+        Montgomery::new(&past);
     }
 
     #[test]
-    fn multi_modpow_matches_product_of_serial() {
-        // Straus against the serial product ∏ gᵢ^eᵢ mod n, with factor
-        // counts 0..4 and mixed exponent bit lengths.
-        let mut fill = fill_counter();
-        let m = Ub::from_hex("ffffffffffffffffffffffffffffff61");
-        let mont = Montgomery::new(&m);
-        for count in 0..=4 {
-            let mut pairs = Vec::new();
-            for i in 0..count {
-                let mut bbuf = [0u8; 16];
-                fill(&mut bbuf);
-                let mut ebuf = vec![0u8; 1 + 5 * i]; // widely varying lengths
-                fill(&mut ebuf);
-                pairs.push((Ub::from_bytes_be(&bbuf), Ub::from_bytes_be(&ebuf)));
-            }
-            let mut reference = Ub::one().rem(&m);
-            for (g, e) in &pairs {
-                reference = reference.mul_mod(&mont.modpow(g, e), &m);
-            }
-            assert_eq!(mont.multi_modpow(&pairs), reference, "count {count}");
+    fn wipe_zeroes_the_kernel_constants() {
+        use crate::wipe::Wipe;
+        // One modulus per kernel width: each context's padded n, R mod n,
+        // R² mod n and n0inv must all end up zero.
+        for limbs in [1usize, 5, 9, 17, 33] {
+            let n = Ub::one().shl(64 * limbs - 1).add(&Ub::from_u64(3));
+            let mut mont = Montgomery::new(&n);
+            mont.wipe();
+            assert!(mont.modulus().is_zero());
+            let zeroed = with_kernel!(&mont.kernel, k => {
+                let consts = [&k.n[..], &k.rr[..], &k.r1[..]];
+                k.n0inv == 0 && consts.iter().all(|c| c.iter().all(|&l| l == 0))
+            });
+            assert!(zeroed, "{limbs}-limb modulus");
         }
-    }
-
-    #[test]
-    fn multi_modpow_with_zero_exponent_factor() {
-        // A factor with exponent 0 contributes 1 and must not disturb the
-        // shared squaring chain.
-        let m = Ub::from_u64(1000003);
-        let mont = Montgomery::new(&m);
-        let pairs = vec![
-            (Ub::from_u64(2), Ub::from_u64(10)),
-            (Ub::from_u64(999), Ub::zero()),
-            (Ub::from_u64(3), Ub::from_u64(7)),
-        ];
-        // 2^10 * 3^7 = 1024 * 2187 = 2239488 mod 1000003 = 239482.
-        assert_eq!(mont.multi_modpow(&pairs), Ub::from_u64(239482));
     }
 
     #[test]

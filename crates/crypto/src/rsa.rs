@@ -451,6 +451,10 @@ mod tests {
         assert!(crt.dp.is_zero());
         assert!(crt.dq.is_zero());
         assert!(crt.qinv.is_zero());
+        // The Montgomery contexts hold copies of p and q; the kernel
+        // constants themselves are checked in bignum's wipe test.
+        assert!(crt.mont_p.modulus().is_zero());
+        assert!(crt.mont_q.modulus().is_zero());
         crt.wipe(); // idempotent
     }
 

@@ -254,88 +254,6 @@ pub fn x25519(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Four independent X25519 operations with their Montgomery ladders
-/// interleaved lane-wise.
-///
-/// Each ladder step runs the same field-op sequence on four independent
-/// operand sets, so the four carry chains overlap in the out-of-order
-/// core instead of serialising, and the four final inversions collapse
-/// into one via Montgomery's batch-inversion trick (one Fermat inversion
-/// plus six multiplies instead of four inversions). Produces output
-/// bit-identical to four serial [`x25519`] calls — the campaign burst
-/// paths rely on that when prefilling ephemeral-key pools.
-pub fn x25519_batch4(scalars: &[[u8; 32]; 4], points: &[[u8; 32]; 4]) -> [[u8; 32]; 4] {
-    use core::array::from_fn;
-    let mut k = *scalars;
-    for s in k.iter_mut() {
-        clamp_scalar(s);
-    }
-    let x1: [Fe; 4] = from_fn(|l| Fe::from_bytes(&points[l]));
-    let mut x2 = [Fe::ONE; 4];
-    let mut z2 = [Fe::ZERO; 4];
-    let mut x3 = x1;
-    let mut z3 = [Fe::ONE; 4];
-    let mut swap = [0u8; 4];
-    for t in (0..255).rev() {
-        for l in 0..4 {
-            let k_t = (k[l][t / 8] >> (t % 8)) & 1;
-            swap[l] ^= k_t;
-            cswap(swap[l], &mut x2[l], &mut x3[l]);
-            cswap(swap[l], &mut z2[l], &mut z3[l]);
-            swap[l] = k_t;
-        }
-        // One ladder step, four lanes abreast (same formulas as x25519).
-        let a: [Fe; 4] = from_fn(|l| x2[l].add(&z2[l]));
-        let aa: [Fe; 4] = from_fn(|l| a[l].square());
-        let b: [Fe; 4] = from_fn(|l| x2[l].sub(&z2[l]));
-        let bb: [Fe; 4] = from_fn(|l| b[l].square());
-        let e: [Fe; 4] = from_fn(|l| aa[l].sub(&bb[l]));
-        let c: [Fe; 4] = from_fn(|l| x3[l].add(&z3[l]));
-        let d: [Fe; 4] = from_fn(|l| x3[l].sub(&z3[l]));
-        let da: [Fe; 4] = from_fn(|l| d[l].mul(&a[l]));
-        let cb: [Fe; 4] = from_fn(|l| c[l].mul(&b[l]));
-        x3 = from_fn(|l| da[l].add(&cb[l]).carry().square());
-        z3 = from_fn(|l| x1[l].mul(&da[l].sub(&cb[l]).square()));
-        x2 = from_fn(|l| aa[l].mul(&bb[l]));
-        z2 = from_fn(|l| e[l].mul(&aa[l].add(&e[l].mul_small(121665)).carry()));
-    }
-    for l in 0..4 {
-        cswap(swap[l], &mut x2[l], &mut x3[l]);
-        cswap(swap[l], &mut z2[l], &mut z3[l]);
-    }
-    // Montgomery batch inversion. A zero z2 (degenerate low-order input)
-    // would poison the shared prefix products, so zero lanes are swapped
-    // for ONE during the chain and forced back to zero after — matching
-    // serial x25519, where invert(0) = 0 by Fermat. (The zero check is not
-    // constant time; it only triggers for public degenerate inputs.)
-    let lane_zero: [bool; 4] = from_fn(|l| z2[l].to_bytes() == [0u8; 32]);
-    let safe: [Fe; 4] = from_fn(|l| if lane_zero[l] { Fe::ONE } else { z2[l] });
-    let mut prefix = safe;
-    for l in 1..4 {
-        prefix[l] = prefix[l - 1].mul(&safe[l]);
-    }
-    let mut inv_acc = prefix[3].invert();
-    let mut z2_inv = [Fe::ZERO; 4];
-    for l in (1..4).rev() {
-        z2_inv[l] = inv_acc.mul(&prefix[l - 1]);
-        inv_acc = inv_acc.mul(&safe[l]);
-    }
-    z2_inv[0] = inv_acc;
-    from_fn(|l| {
-        if lane_zero[l] {
-            [0u8; 32]
-        } else {
-            x2[l].mul(&z2_inv[l]).to_bytes()
-        }
-    })
-}
-
-/// Compute four public keys at once (the batched ladder over the base
-/// point). Bit-identical to four [`public_key`] calls.
-pub fn public_key_batch4(secrets: &[[u8; 32]; 4]) -> [[u8; 32]; 4] {
-    x25519_batch4(secrets, &[BASEPOINT; 4])
-}
-
 /// The canonical base point (u = 9).
 pub const BASEPOINT: [u8; 32] = {
     let mut b = [0u8; 32];
@@ -388,25 +306,6 @@ impl X25519KeyPair {
         rng.fill_bytes(&mut secret);
         let public = public_key(&secret);
         X25519KeyPair { secret, public }
-    }
-
-    /// Generate four key pairs at once through the batched ladder.
-    ///
-    /// Draws the four secrets sequentially — the same DRBG order as four
-    /// [`X25519KeyPair::generate`] calls — then derives all four publics
-    /// with [`public_key_batch4`], so the resulting pairs are bit-identical
-    /// to the serial path. The ephemeral-key pools in `ts-tls` use this to
-    /// amortise ladder work across campaign handshake bursts.
-    pub fn generate_batch4(rng: &mut crate::drbg::HmacDrbg) -> [Self; 4] {
-        let mut secrets = [[0u8; 32]; 4];
-        for s in secrets.iter_mut() {
-            rng.fill_bytes(s);
-        }
-        let publics = public_key_batch4(&secrets);
-        core::array::from_fn(|l| X25519KeyPair {
-            secret: secrets[l],
-            public: publics[l],
-        })
     }
 
     /// Shared secret with a peer public value.
@@ -498,63 +397,6 @@ mod tests {
             hex(&k),
             "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
         );
-    }
-
-    #[test]
-    fn batch4_matches_serial_ladder() {
-        // Lanes 0-1: the RFC 7748 §5.2 vectors; lanes 2-3: DRBG-random
-        // operands. The batch must agree with four serial calls bit for bit.
-        let mut rng = crate::drbg::HmacDrbg::new(b"x25519-batch");
-        let mut scalars = [[0u8; 32]; 4];
-        let mut points = [[0u8; 32]; 4];
-        scalars[0] = unhex32("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
-        points[0] = unhex32("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
-        scalars[1] = unhex32("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
-        points[1] = unhex32("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
-        for l in 2..4 {
-            rng.fill_bytes(&mut scalars[l]);
-            rng.fill_bytes(&mut points[l]);
-            points[l][31] &= 0x7f;
-        }
-        let batched = x25519_batch4(&scalars, &points);
-        for l in 0..4 {
-            assert_eq!(batched[l], x25519(&scalars[l], &points[l]), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn batch4_handles_degenerate_zero_lane() {
-        // Lane 1 feeds the all-zero point (z2 ends up zero). Its zero
-        // output must not poison the batch inversion for the other lanes.
-        let mut scalars = [[0u8; 32]; 4];
-        let mut points = [[9u8; 32]; 4];
-        for (l, s) in scalars.iter_mut().enumerate() {
-            s[0] = 40 + l as u8;
-            s[31] = 1;
-        }
-        points[1] = [0u8; 32];
-        for p in points.iter_mut() {
-            p[31] &= 0x7f;
-        }
-        let batched = x25519_batch4(&scalars, &points);
-        for l in 0..4 {
-            assert_eq!(batched[l], x25519(&scalars[l], &points[l]), "lane {l}");
-        }
-        assert_eq!(batched[1], [0u8; 32]);
-    }
-
-    #[test]
-    fn generate_batch4_matches_serial_draw_order() {
-        let mut serial_rng = crate::drbg::HmacDrbg::new(b"pool");
-        let mut batch_rng = crate::drbg::HmacDrbg::new(b"pool");
-        let serial: Vec<X25519KeyPair> = (0..4)
-            .map(|_| X25519KeyPair::generate(&mut serial_rng))
-            .collect();
-        let batched = X25519KeyPair::generate_batch4(&mut batch_rng);
-        for l in 0..4 {
-            assert_eq!(batched[l].secret, serial[l].secret, "secret lane {l}");
-            assert_eq!(batched[l].public, serial[l].public, "public lane {l}");
-        }
     }
 
     #[test]

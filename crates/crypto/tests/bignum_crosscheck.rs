@@ -31,6 +31,19 @@ fn random_odd_modulus(rng: &mut HmacDrbg, max_bytes: usize) -> Ub {
     }
 }
 
+/// An odd modulus of exactly `limbs` 64-bit limbs; `all_ones_top` makes
+/// the top limb all ones, as in the MODP primes.
+fn odd_modulus_of_limbs(rng: &mut HmacDrbg, limbs: usize, all_ones_top: bool) -> Ub {
+    let mut bytes = vec![0u8; 8 * limbs];
+    rng.fill_bytes(&mut bytes);
+    bytes[0] |= 0x80;
+    if all_ones_top {
+        bytes[..8].fill(0xff);
+    }
+    bytes[8 * limbs - 1] |= 1;
+    Ub::from_bytes_be(&bytes)
+}
+
 /// Bit-by-bit square-and-multiply via `mul_mod` — the reference the
 /// windowed Montgomery ladder must match.
 fn modpow_reference(base: &Ub, exp: &Ub, modulus: &Ub) -> Ub {
@@ -105,12 +118,58 @@ fn windowed_montgomery_modpow_matches_bit_by_bit() {
             n.to_hex()
         );
     }
+    // n = 3, the smallest modulus a context takes, zero-padded to 4 limbs.
+    let three = Montgomery::new(&Ub::from_u64(3));
+    let long_exp = Ub::from_hex("fedcba9876543210fedcba9876543211");
+    for (base, exp) in [
+        (Ub::zero(), Ub::zero()),
+        (Ub::from_u64(2), Ub::one()),
+        (Ub::from_u64(5), Ub::from_u64(7)),
+        (Ub::from_u64(u64::MAX), long_exp),
+    ] {
+        assert_eq!(
+            three.modpow(&base, &exp),
+            modpow_reference(&base, &exp, &Ub::from_u64(3)),
+            "n=3 base={} exp={}",
+            base.to_hex(),
+            exp.to_hex()
+        );
+    }
+    // Every kernel width: moduli that fill 4, 8, 16, 32 and 64 limbs
+    // exactly (with a random and with an all-ones top limb), and moduli
+    // one limb past each boundary, zero-padded into the next kernel. Each
+    // shape runs exponents 0 and 1 and a short random one, all on a base
+    // above n; the narrow shapes also run an exponent longer than the
+    // modulus. Few rounds per shape: Miri runs this crate.
+    let shapes = [4, 8, 16, 32, 64]
+        .into_iter()
+        .flat_map(|w| [(w, false), (w, true), (w + 1, false)])
+        .filter(|&(limbs, _)| limbs <= 64);
+    for (limbs, all_ones_top) in shapes {
+        let n = odd_modulus_of_limbs(&mut rng, limbs, all_ones_top);
+        let mont = Montgomery::new(&n);
+        let base = random_ub(&mut rng, 8 * limbs).add(&n);
+        let mut exps = vec![Ub::zero(), Ub::one(), random_ub(&mut rng, 16)];
+        if limbs <= 9 {
+            exps.push(random_ub(&mut rng, 8 * limbs).add(&n.shl(8)));
+        }
+        for exp in exps {
+            assert_eq!(
+                mont.modpow(&base, &exp).to_hex(),
+                modpow_reference(&base, &exp, &n).to_hex(),
+                "{limbs} limbs (all-ones top: {all_ones_top}): exp={} n={}",
+                exp.to_hex(),
+                n.to_hex()
+            );
+        }
+    }
 }
 
 #[test]
 fn generic_modpow_handles_even_moduli_too() {
-    // Ub::modpow dispatches: odd modulus → Montgomery, even → plain
-    // square-and-multiply. Both arms must agree with the reference.
+    // Ub::modpow dispatches: odd modulus of up to 4096 bits → Montgomery,
+    // even → plain square-and-multiply. Both arms must agree with the
+    // reference.
     let mut rng = HmacDrbg::new(b"crosscheck-evenmod");
     for _ in 0..60 {
         let mut n = random_ub(&mut rng, 24);
@@ -137,6 +196,23 @@ fn generic_modpow_handles_even_moduli_too() {
             );
         }
     }
+}
+
+#[test]
+fn generic_modpow_answers_past_the_widest_kernel() {
+    // An odd modulus wider than 4096 bits has no Montgomery kernel, so
+    // Ub::modpow takes its division loop; the answer must still be right.
+    let mut rng = HmacDrbg::new(b"crosscheck-wide");
+    let n = odd_modulus_of_limbs(&mut rng, 65, false);
+    assert!(n.bit_len() > 4096);
+    let base = random_ub(&mut rng, 8 * 66);
+    let exp = random_ub(&mut rng, 8);
+    assert_eq!(
+        base.modpow(&exp, &n).to_hex(),
+        modpow_reference(&base, &exp, &n).to_hex(),
+        "exp={}",
+        exp.to_hex()
+    );
 }
 
 #[test]

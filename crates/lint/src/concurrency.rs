@@ -2,8 +2,8 @@
 //! discipline, and SIMD dispatch gating.
 //!
 //! The shared state this workspace grew — the 8-way sharded
-//! `SessionCache`, the epoch-pinned `Arc<StekSet>` snapshots, the
-//! batched-kernel fresh pools — is exactly the state the paper's harm
+//! `SessionCache`, the epoch-pinned `Arc<StekSet>` snapshots, the shared
+//! ephemeral-key caches — is exactly the state the paper's harm
 //! argument rests on, so its locking discipline is checked statically
 //! rather than asserted in comments. Four rules, all built on the
 //! token-stream index and the workspace call graph:

@@ -66,12 +66,6 @@ struct EphemeralCacheInner {
     dh_group: DhGroup,
     dhe: Option<CachedDhe>,
     ecdhe: Option<CachedEcdhe>,
-    // Pre-generated X25519 keypairs, in draw order (front = next). Only
-    // filled under `FreshPerHandshake`, where every handshake in a
-    // campaign burst pays a full Montgomery ladder: the batched 4-way
-    // ladder amortises that. Keys come off the same DRBG in the same
-    // order as serial generation, so pops are bit-identical to it.
-    ecdhe_pool: std::collections::VecDeque<Arc<X25519KeyPair>>,
     rng: HmacDrbg,
     dhe_generations: u64,
     ecdhe_generations: u64,
@@ -103,7 +97,6 @@ impl EphemeralCache {
             dh_group,
             dhe: None,
             ecdhe: None,
-            ecdhe_pool: std::collections::VecDeque::new(),
             rng,
             dhe_generations: 0,
             ecdhe_generations: 0,
@@ -151,22 +144,9 @@ impl EphemeralCache {
             .map(|c| inner.ecdhe_policy.still_valid(c.created_at, now))
             .unwrap_or(false);
         if !reuse {
-            // Fresh-per-handshake churn goes through the 4-way batched
-            // ladder; generations count pops (values actually used), and
-            // the popped value lands in `ecdhe` so `steal()` still sees
-            // the live keypair. Reuse policies regenerate rarely and keep
-            // the serial path (no pre-drawn secrets sitting in memory).
-            let kp = if inner.ecdhe_policy == EphemeralPolicy::FreshPerHandshake {
-                if inner.ecdhe_pool.is_empty() {
-                    let batch = X25519KeyPair::generate_batch4(&mut inner.rng);
-                    inner.ecdhe_pool.extend(batch.into_iter().map(Arc::new));
-                }
-                inner.ecdhe_pool.pop_front().expect("just refilled")
-            } else {
-                Arc::new(X25519KeyPair::generate(&mut inner.rng))
-            };
+            let kp = X25519KeyPair::generate(&mut inner.rng);
             inner.ecdhe = Some(CachedEcdhe {
-                keypair: kp,
+                keypair: Arc::new(kp),
                 created_at: now,
             });
             inner.ecdhe_generations += 1;
@@ -218,24 +198,19 @@ mod tests {
     }
 
     #[test]
-    fn fresh_ecdhe_pool_matches_serial_draw_order() {
-        // The batched pool must hand out exactly the keys a serial
-        // `generate` loop would have drawn from the same DRBG, in the
-        // same order, and `steal()` must see the most recent pop.
-        let c = cache(EphemeralPolicy::FreshPerHandshake, b"pool-order");
-        let mut reference = HmacDrbg::new(b"pool-order");
-        let expected = X25519KeyPair::generate_batch4(&mut reference);
-        for (i, exp) in expected.iter().enumerate() {
+    fn fresh_ecdhe_values_are_serial_draws() {
+        // Each fresh value is the next `generate` draw from the cache's
+        // DRBG, and `steal()` sees the most recent one.
+        let c = cache(EphemeralPolicy::FreshPerHandshake, b"fresh-order");
+        let mut reference = HmacDrbg::new(b"fresh-order");
+        for i in 0..5 {
+            let expected = X25519KeyPair::generate(&mut reference);
             let got = c.ecdhe_keypair(0);
-            assert_eq!(got.public, exp.public, "lane {i}");
+            assert_eq!(got.public, expected.public, "draw {i}");
             assert_eq!(c.ecdhe_generations(), (i + 1) as u64);
             let (_, stolen) = c.steal();
-            assert_eq!(stolen.expect("cached").keypair.public, exp.public);
+            assert_eq!(stolen.expect("cached").keypair.public, expected.public);
         }
-        // A fifth call triggers a refill; it must still be fresh.
-        let fifth = c.ecdhe_keypair(0);
-        assert!(expected.iter().all(|e| e.public != fifth.public));
-        assert_eq!(c.ecdhe_generations(), 5);
     }
 
     #[test]

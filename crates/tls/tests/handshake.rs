@@ -362,17 +362,18 @@ fn no_common_suite_fails_with_alert() {
 
 #[test]
 fn even_rsa_modulus_from_server_fails_with_alert() {
-    // A hostile server can present an RSA key with an even modulus, which
-    // Montgomery arithmetic cannot use. As an intermediate it reaches the
-    // chain signature check; as an unverified leaf (how the scanner
-    // connects) it reaches the ServerKeyExchange verify and the premaster
-    // encryption. Either way the client must fail with a typed error and
-    // a fatal alert, not panic.
+    // A hostile server can present an RSA key that Montgomery arithmetic
+    // cannot use: an even modulus, or an odd one wider than the 4096-bit
+    // kernel. As an intermediate it reaches the chain signature check; as
+    // an unverified leaf (how the scanner connects) it reaches the
+    // ServerKeyExchange verify and the premaster encryption. Either way
+    // the client must fail with a typed error and a fatal alert, not panic.
     let env = build_env();
     let signer = RsaPrivateKey::generate(512, &mut HmacDrbg::new(b"even-signer")).unwrap();
     let mut modulus = [0xffu8; 64];
     modulus[63] = 0xfe;
     let even = RsaPublicKey::new(Ub::from_bytes_be(&modulus), Ub::from_u64(65_537));
+    let too_wide = RsaPublicKey::new(Ub::one().shl(4159).add(&Ub::one()), Ub::from_u64(65_537));
     let issue = |subject: &str, key: &RsaPublicKey, issuer: &str, is_ca: bool| {
         let params = CertificateParams {
             serial: 9,
@@ -386,16 +387,18 @@ fn even_rsa_modulus_from_server_fails_with_alert() {
         };
         Certificate::issue(&params, key, &DistinguishedName::cn(issuer), &signer)
     };
-    let chains = [
-        (
-            vec![
-                issue(HOST, &signer.public, "Even CA", false),
-                issue("Even CA", &even, "Test Root CA", true),
-            ],
-            true,
-        ),
-        (vec![issue(HOST, &even, "Even CA", false)], false),
-    ];
+    let chains = [&even, &too_wide].into_iter().flat_map(|bad| {
+        [
+            (
+                vec![
+                    issue(HOST, &signer.public, "Even CA", false),
+                    issue("Even CA", bad, "Test Root CA", true),
+                ],
+                true,
+            ),
+            (vec![issue(HOST, bad, "Even CA", false)], false),
+        ]
+    });
     for (chain, verify_certs) in chains {
         let mut cfg = server_config(&env, b"even");
         cfg.identity = Arc::new(ServerIdentity {

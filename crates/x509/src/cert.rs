@@ -7,7 +7,7 @@
 //! decisions exercise.
 
 use crate::der::{self, DerError, Reader, Tag};
-use ts_crypto::bignum::Ub;
+use ts_crypto::bignum::{Montgomery, Ub};
 use ts_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 
 /// OID arcs used by the profile.
@@ -149,9 +149,12 @@ fn decode_spki(r: &mut Reader) -> Result<RsaPublicKey, DerError> {
     let e = rsa.read_integer()?;
     rsa.finish()?;
     // Peer bytes become a key here, and every use of the key runs
-    // Montgomery arithmetic, which needs an odd modulus of at least 3.
-    if !n.is_odd() || n.bit_len() < 2 {
-        return Err(DerError::BadValue("RSA modulus must be odd and at least 3"));
+    // Montgomery arithmetic, which needs an odd modulus of at least 3 and
+    // has no kernel wider than 4096 bits.
+    if !Montgomery::accepts(&n) {
+        return Err(DerError::BadValue(
+            "RSA modulus must be odd, at least 3 and at most 4096 bits",
+        ));
     }
     Ok(RsaPublicKey::new(n, e))
 }
@@ -484,12 +487,14 @@ mod tests {
 
     #[test]
     fn unusable_rsa_modulus_is_rejected_at_parse() {
-        // Montgomery arithmetic needs an odd modulus ≥ 3; a peer's key
-        // that breaks this must fail to parse, not panic on first use.
+        // Montgomery arithmetic needs an odd modulus ≥ 3 of at most 4096
+        // bits; a peer's key that breaks this must fail to parse, not
+        // panic on first use.
         let ca_key = keypair(b"ca-even");
         let mut even = [0xffu8; 64];
         even[63] = 0xfe;
-        for n in [Ub::from_bytes_be(&even), Ub::from_u64(1)] {
+        let too_wide = Ub::one().shl(4159).add(&Ub::one());
+        for n in [Ub::from_bytes_be(&even), Ub::from_u64(1), too_wide] {
             let key = RsaPublicKey::new(n, Ub::from_u64(65_537));
             let cert = Certificate::issue(
                 &sample_params(),
