@@ -75,7 +75,10 @@ pub fn decrypt_with_stolen_ecdhe(
         .as_slice()
         .try_into()
         .map_err(|_| DhAttackError::WrongValue("bad point length".into()))?;
-    let premaster = stolen.keypair.shared_secret(&point).to_vec();
+    let premaster = stolen
+        .keypair
+        .shared_secret(&point)
+        .map_err(|e| DhAttackError::WrongValue(e.to_string()))?;
     finish(capture, &premaster)
 }
 

@@ -188,8 +188,10 @@ fn record_layer_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     ]
 }
 
-/// Key-exchange probes: X25519 public-key derivation and DHE server-side
-/// exponentiation through the group's cached Montgomery context.
+/// Key-exchange probes: X25519 public-key derivation (the fixed-base
+/// comb), the X25519 shared secret with a peer point (the ladder), and DHE
+/// server-side exponentiation through the group's cached Montgomery
+/// context.
 fn kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     use ts_crypto::bignum::Ub;
     let secrets: Vec<[u8; 32]> = (0..KEX_OPS)
@@ -206,10 +208,16 @@ fn kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     let exps: Vec<Ub> = (0..KEX_OPS)
         .map(|i| Ub::from_bytes_be(&[&[0x33 + i as u8], &secrets[i as usize][..31]].concat()))
         .collect();
+    let peer = ts_crypto::x25519::public_key(&[0x5a; 32]);
     vec![
         kex_probe("x25519_serial", KEX_OPS, now_nanos, || {
             for s in &secrets {
                 std::hint::black_box(ts_crypto::x25519::public_key(s));
+            }
+        }),
+        kex_probe("x25519_shared_serial", KEX_OPS, now_nanos, || {
+            for s in &secrets {
+                std::hint::black_box(ts_crypto::x25519::x25519(s, &peer));
             }
         }),
         kex_probe("dhe_modpow_serial", KEX_OPS, now_nanos, || {
@@ -233,8 +241,8 @@ fn kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
 /// `mont_cache_hits`) and the measured `handshakes_per_sec` /
 /// `modexps_per_sec`; `record_layer[]` compares the CPU-dispatched AEAD
 /// kernels against their in-binary scalar references; `batch_kex[]`
-/// times X25519 key derivation and DHE exponentiation; `totals`
-/// aggregates across families.
+/// times X25519 key derivation, the X25519 shared secret and DHE
+/// exponentiation; `totals` aggregates across families.
 pub fn run(now_nanos: &dyn Fn() -> u64) -> String {
     let w = smoke_world();
     let mut suite_lines = Vec::new();

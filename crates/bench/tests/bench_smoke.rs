@@ -39,6 +39,7 @@ fn smoke_report_has_deterministic_schema_and_counts() {
         "chacha20_xor",
         "chacha20_xor_portable",
         "x25519_serial",
+        "x25519_shared_serial",
         "dhe_modpow_serial",
     ] {
         assert!(report.contains(&format!("\"name\": \"{name}\"")), "{name}");

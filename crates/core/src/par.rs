@@ -65,6 +65,21 @@ impl ShardPlan {
     }
 }
 
+/// Join every worker of a fan-out, re-raising a worker's panic.
+///
+/// A scope only waits for its threads' closures to return; a thread it
+/// never joins is detached and finishes exiting in the background. The
+/// next fan-out could then start threads before the old ones handed their
+/// malloc arenas back, and glibc would create fresh arenas for them (more
+/// peak memory, at random). Joining waits for the full exit.
+fn join_all<T>(handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, T>>) {
+    for handle in handles {
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
 /// Run `f(shard_id, &mut states[shard_id])` for every shard on `workers`
 /// threads. The mutable-state sibling of [`parallel_map`]: each shard's
 /// state is visited exactly once, shards are pulled from a shared queue,
@@ -78,19 +93,22 @@ pub fn for_each_shard<S: Send>(states: &mut [S], workers: usize, f: impl Fn(usiz
     let cells: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let f = &f;
-            let next = &next;
-            let cells = &cells;
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                let mut state = cell.lock().expect("shard state");
-                f(i, &mut state);
-            });
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let f = &f;
+                let next = &next;
+                let cells = &cells;
+                scope.spawn(move |_| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(i) else {
+                        break;
+                    };
+                    let mut state = cell.lock().expect("shard state");
+                    f(i, &mut state);
+                })
+            })
+            .collect();
+        join_all(handles);
     })
     .expect("scope");
 }
@@ -120,20 +138,23 @@ pub fn parallel_map<T: Sync, R: Send>(
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
     crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let f = &f;
-            let next = &next;
-            let done = &done;
-            let chunks = &chunks;
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(id, chunk)) = chunks.get(i) else {
-                    break;
-                };
-                let result = f(id, chunk);
-                done.lock().expect("result sink").push((id, result));
-            });
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let f = &f;
+                let next = &next;
+                let done = &done;
+                let chunks = &chunks;
+                scope.spawn(move |_| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(id, chunk)) = chunks.get(i) else {
+                        break;
+                    };
+                    let result = f(id, chunk);
+                    done.lock().expect("result sink").push((id, result));
+                })
+            })
+            .collect();
+        join_all(handles);
     })
     .expect("scope");
     let mut out = done.into_inner().expect("result sink");
@@ -242,6 +263,15 @@ mod tests {
         assert_eq!(one[36], vec![108, 109]);
         let mut empty: Vec<u8> = Vec::new();
         for_each_shard(&mut empty, 4, |_, _| unreachable!());
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 3 failed")]
+    fn worker_panic_reaches_the_caller() {
+        let mut states = vec![0u8; 8];
+        for_each_shard(&mut states, 2, |shard, _| {
+            assert!(shard != 3, "shard 3 failed")
+        });
     }
 
     #[test]

@@ -1,16 +1,56 @@
 //! X25519 elliptic-curve Diffie-Hellman (RFC 7748).
 //!
-//! The ECDHE side of the study. Curve25519 is implemented with a
-//! Montgomery ladder over GF(2^255 - 19) using five 51-bit limbs in `u64`s
-//! with `u128` products (the "donna-64" representation) — half the limb
-//! count and a quarter of the inner-loop multiplies of the earlier
-//! radix-2^25.5 form, with no data-dependent branches in the limb loops.
+//! The ECDHE side of the study. The field is GF(2^255 - 19) in five 51-bit
+//! limbs held in `u64`s with `u128` products (the "donna-64"
+//! representation), with no data-dependent branches in the limb loops.
 //! Pinned to the RFC 7748 §5.2 test vectors and the iterated-ladder vector.
 //!
+//! Two scalar multiplications share that field:
+//!
+//! * [`x25519`] multiplies an arbitrary point with the Montgomery ladder.
+//!   It is the only code for a peer's point, and the reference the tests
+//!   hold the comb to.
+//! * [`public_key`] multiplies the fixed base point with the ref10 comb
+//!   (Bernstein et al., "High-speed high-security signatures", 2011) on
+//!   edwards25519, the twisted Edwards curve birationally equivalent to
+//!   Curve25519. The clamped scalar is recoded into 64 signed radix-16
+//!   digits −8 ≤ e\[i\] ≤ 8, so k = Σ e\[i\]·16^i. A process-wide table
+//!   holds `(j+1)·256^i·B` for i < 32, j < 8 in affine Niels form
+//!   (y+x, y−x, 2d·xy): 256 entries, 30 KiB, built once in a `OnceLock`
+//!   on first use. The odd digits are summed with 32 mixed additions,
+//!   the sum is multiplied by 16 with four doublings, and the even digits
+//!   add 32 more. The Montgomery u-coordinate is u = (1+y)/(1−y) =
+//!   (Z+Y)/(Z−Y); it depends on y only, so the sign of B's x is
+//!   immaterial. A clamped scalar is 2^254 plus a multiple of 8 below
+//!   2^254, never a multiple of B's prime order ℓ (4ℓ is the only multiple
+//!   of ℓ in range and it is not divisible by 8), so Z−Y is never zero.
+//!
+//! Constant time. Digit recoding is shifts and adds. A digit's table entry
+//! is chosen by reading all eight entries of its row and keeping one
+//! through a `ct_eq_u64_mask` mask; a negative digit swaps y+x with y−x
+//! and negates 2d·xy, again through a mask. No branch or address depends
+//! on the scalar, in the ladder or in the comb.
+//!
 //! Limb-bound discipline (the invariants the carry chains rely on):
-//! reduced elements have limbs < 2^51 + ε; [`Fe::add`] and [`Fe::sub`]
-//! emit limbs < 2^53 without re-carrying; [`Fe::mul`]/[`Fe::square`]
-//! accept limbs < 2^53 and emit reduced elements.
+//! reduced elements (outputs of [`Fe::mul`], [`Fe::square`],
+//! [`Fe::mul_small`] and [`Fe::carry`]) have limbs < 2^51 + 2^11.
+//! [`Fe::add`] and [`Fe::sub`] emit limbs < 2^53 without re-carrying, and
+//! [`Fe::mul`]/[`Fe::square`] accept limbs < 2^53. [`Fe::sub`] adds 2p
+//! limbwise, so its subtrahend must be reduced. Hence:
+//!
+//! * the ladder needs no carry pass: `da + cb` and `aa + 121665·e` are
+//!   sums of two reduced elements (< 2^52 + 2^12) fed straight into a
+//!   square or multiply, and every subtrahend is reduced (a product, or
+//!   the starting 0 or 1);
+//! * the mixed addition needs none either: its subtrahends are products,
+//!   and its widest operand, 2Z + C, is a sum of three reduced elements
+//!   (< 2^53);
+//! * the doubling carries X² + Y² and Y² − X², the two values it later
+//!   subtracts, and forms 2Z² with `mul_small(2)` so it stays reduced.
+
+use crate::ct::{ct_eq, ct_eq_u64_mask, ct_select_u64};
+use crate::error::CryptoError;
+use std::sync::OnceLock;
 
 /// Length of scalars and public values.
 pub const KEY_LEN: usize = 32;
@@ -173,6 +213,15 @@ impl Fe {
         ])
     }
 
+    /// `self^(2^k)`: `k` successive squarings.
+    fn square_times(&self, k: u32) -> Fe {
+        let mut r = *self;
+        for _ in 0..k {
+            r = r.square();
+        }
+        r
+    }
+
     fn mul_small(&self, k: u64) -> Fe {
         let mut out = [0u64; 5];
         let mut c: u128 = 0;
@@ -187,19 +236,30 @@ impl Fe {
         Fe(out)
     }
 
-    /// Inversion via Fermat: a^(p-2).
+    /// Inversion via Fermat: a^(p-2), p − 2 = 2^255 − 21, by the ref10
+    /// addition chain (254 squarings, 11 multiplications).
     fn invert(&self) -> Fe {
-        let mut result = Fe::ONE;
-        let mut base = *self;
-        // p - 2 = 2^255 - 21: little-endian bits are 11010 then 250 ones
-        // (2^255 ≡ 0 mod 32, so the low 5 bits are 32 - 21 = 01011b).
-        for i in 0..255 {
-            if i != 2 && i != 4 {
-                result = result.mul(&base);
-            }
-            base = base.square();
+        let z2 = self.square();
+        let z9 = self.mul(&z2.square_times(2));
+        let z11 = z2.mul(&z9);
+        let z_5_0 = z9.mul(&z11.square()); // z^(2^5 - 1)
+        let z_10_0 = z_5_0.square_times(5).mul(&z_5_0);
+        let z_20_0 = z_10_0.square_times(10).mul(&z_10_0);
+        let z_40_0 = z_20_0.square_times(20).mul(&z_20_0);
+        let z_50_0 = z_40_0.square_times(10).mul(&z_10_0);
+        let z_100_0 = z_50_0.square_times(50).mul(&z_50_0);
+        let z_200_0 = z_100_0.square_times(100).mul(&z_100_0);
+        let z_250_0 = z_200_0.square_times(50).mul(&z_50_0);
+        // (2^250 − 1)·2^5 + 11 = 2^255 − 21.
+        z_250_0.square_times(5).mul(&z11)
+    }
+
+    /// Replace `self` with `other` where `mask` is all-ones; keep it where
+    /// `mask` is zero.
+    fn cmov(&mut self, other: &Fe, mask: u64) {
+        for i in 0..5 {
+            self.0[i] = ct_select_u64(mask, other.0[i], self.0[i]);
         }
-        result
     }
 }
 
@@ -244,10 +304,10 @@ pub fn x25519(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
         let d = x3.sub(&z3);
         let da = d.mul(&a);
         let cb = c.mul(&b);
-        x3 = da.add(&cb).carry().square();
+        x3 = da.add(&cb).square();
         z3 = x1.mul(&da.sub(&cb).square());
         x2 = aa.mul(&bb);
-        z2 = e.mul(&aa.add(&e.mul_small(121665)).carry());
+        z2 = e.mul(&aa.add(&e.mul_small(121665)));
     }
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);
@@ -261,9 +321,198 @@ pub const BASEPOINT: [u8; 32] = {
     b
 };
 
-/// Compute the public key for a secret scalar.
+/// 2d, where d = −121665/121666 is the edwards25519 curve constant.
+const D2: Fe = Fe([
+    0x69b9426b2f159,
+    0x35050762add7a,
+    0x3cf44c0038052,
+    0x6738cc7407977,
+    0x2406d9dc56dff,
+]);
+
+/// The edwards25519 base point B: y = 4/5, x even. It maps to u = 9.
+const B_X: Fe = Fe([
+    0x62d608f25d51a,
+    0x412a4b4f6592a,
+    0x75b7171a4b31d,
+    0x1ff60527118fe,
+    0x216936d3cd6e5,
+]);
+const B_Y: Fe = Fe([
+    0x6666666666658,
+    0x4cccccccccccc,
+    0x1999999999999,
+    0x3333333333333,
+    0x6666666666666,
+]);
+
+/// An edwards25519 point in extended coordinates: x = X/Z, y = Y/Z,
+/// xy = T/Z. Every coordinate is reduced.
+#[derive(Clone, Copy)]
+struct Ext {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// An affine point in Niels form, the table's entry type.
+#[derive(Clone, Copy)]
+struct Niels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl Ext {
+    const IDENTITY: Ext = Ext {
+        x: Fe::ZERO,
+        y: Fe::ONE,
+        z: Fe::ONE,
+        t: Fe::ZERO,
+    };
+
+    /// The point with x = E/G, y = H/F, from the E, F, G, H that end
+    /// both formulas of Hisil et al., "Twisted Edwards curves revisited".
+    fn from_efgh(e: Fe, f: Fe, g: Fe, h: Fe) -> Ext {
+        Ext {
+            x: e.mul(&f),
+            y: g.mul(&h),
+            z: f.mul(&g),
+            t: e.mul(&h),
+        }
+    }
+
+    /// `self + q` (mixed addition, a = −1).
+    fn madd(&self, q: &Niels) -> Ext {
+        let a = self.y.add(&self.x).mul(&q.y_plus_x);
+        let b = self.y.sub(&self.x).mul(&q.y_minus_x);
+        let c = self.t.mul(&q.xy2d);
+        let d = self.z.add(&self.z);
+        Ext::from_efgh(a.sub(&b), d.sub(&c), d.add(&c), a.add(&b))
+    }
+
+    /// `2·self`, reading X, Y and Z only. F and H are the negatives of the
+    /// paper's doubling values, which leaves x = E/G and y = H/F unchanged.
+    fn double(&self) -> Ext {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz2 = self.z.square().mul_small(2);
+        let h = yy.add(&xx).carry();
+        let g = yy.sub(&xx).carry();
+        let e = self.x.add(&self.y).square().sub(&h);
+        Ext::from_efgh(e, zz2.sub(&g), g, h)
+    }
+
+    /// The affine Niels form; one inversion (table build only).
+    fn to_niels(self) -> Niels {
+        let z_inv = self.z.invert();
+        let x = self.x.mul(&z_inv);
+        let y = self.y.mul(&z_inv);
+        Niels {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            xy2d: x.mul(&y).mul(&D2),
+        }
+    }
+}
+
+impl Niels {
+    const IDENTITY: Niels = Niels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        xy2d: Fe::ZERO,
+    };
+
+    fn cmov(&mut self, other: &Niels, mask: u64) {
+        self.y_plus_x.cmov(&other.y_plus_x, mask);
+        self.y_minus_x.cmov(&other.y_minus_x, mask);
+        self.xy2d.cmov(&other.xy2d, mask);
+    }
+}
+
+/// `table[i][j] = (j+1)·256^i·B`.
+type CombTable = [[Niels; 8]; 32];
+
+/// The comb table: public data, built once per process on first use.
+fn comb_table() -> &'static CombTable {
+    static TABLE: OnceLock<CombTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [[Niels::IDENTITY; 8]; 32];
+        let mut row_base = Ext {
+            x: B_X,
+            y: B_Y,
+            z: Fe::ONE,
+            t: B_X.mul(&B_Y),
+        };
+        for row in table.iter_mut() {
+            let step = row_base.to_niels();
+            let mut multiple = row_base;
+            row[0] = step;
+            for entry in row.iter_mut().skip(1) {
+                multiple = multiple.madd(&step);
+                *entry = multiple.to_niels();
+            }
+            for _ in 0..8 {
+                row_base = row_base.double();
+            }
+        }
+        table
+    })
+}
+
+/// `b·row[0]` for a signed digit −8 ≤ b ≤ 8, in constant time: all eight
+/// entries are read and one is kept through a mask, then negated through
+/// a mask when `b < 0`.
+fn select(row: &[Niels; 8], b: i8) -> Niels {
+    let neg = (b as i64 >> 63) as u64;
+    let abs = (b as i64 as u64 ^ neg).wrapping_sub(neg);
+    let mut t = Niels::IDENTITY;
+    for (j, entry) in (1u64..).zip(row.iter()) {
+        t.cmov(entry, ct_eq_u64_mask(abs, j));
+    }
+    let minus = Niels {
+        y_plus_x: t.y_minus_x,
+        y_minus_x: t.y_plus_x,
+        xy2d: Fe::ZERO.sub(&t.xy2d),
+    };
+    t.cmov(&minus, neg);
+    t
+}
+
+/// Compute the public key for a secret scalar: `x25519(secret,
+/// &BASEPOINT)`, by the fixed-base comb.
 pub fn public_key(secret: &[u8; 32]) -> [u8; 32] {
-    x25519(secret, &BASEPOINT)
+    let mut k = *secret;
+    clamp_scalar(&mut k);
+    // Signed radix-16 digits: each nibble takes the carry from the one
+    // below and gives 16 back when it reaches 8. The clamped top nibble is
+    // 4..=7, so e[63] ≤ 8.
+    let mut e = [0i8; 64];
+    for (pair, byte) in e.chunks_exact_mut(2).zip(k.iter()) {
+        pair[0] = (byte & 15) as i8;
+        pair[1] = (byte >> 4) as i8;
+    }
+    let mut carry = 0i8;
+    for digit in e.iter_mut().take(63) {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    e[63] += carry;
+    let table = comb_table();
+    // Σ e[2i+1]·256^i·B, times 16, plus Σ e[2i]·256^i·B.
+    let mut h = Ext::IDENTITY;
+    for (row, pair) in table.iter().zip(e.chunks_exact(2)) {
+        h = h.madd(&select(row, pair[1]));
+    }
+    for _ in 0..4 {
+        h = h.double();
+    }
+    for (row, pair) in table.iter().zip(e.chunks_exact(2)) {
+        h = h.madd(&select(row, pair[0]));
+    }
+    h.z.add(&h.y).mul(&h.z.sub(&h.y).invert()).to_bytes()
 }
 
 /// An X25519 key pair.
@@ -309,8 +558,17 @@ impl X25519KeyPair {
     }
 
     /// Shared secret with a peer public value.
-    pub fn shared_secret(&self, peer_public: &[u8; 32]) -> [u8; 32] {
-        x25519(&self.secret, peer_public)
+    ///
+    /// A low-order peer value (u = 0, 1, p−1, the two order-8 points, and
+    /// their non-canonical encodings) yields an all-zero output, which
+    /// RFC 7748 §6.1 lets a caller reject and RFC 8422 §5.11 says TLS must:
+    /// that is [`CryptoError::InvalidPublicValue`].
+    pub fn shared_secret(&self, peer_public: &[u8; 32]) -> Result<[u8; 32], CryptoError> {
+        let shared = x25519(&self.secret, peer_public);
+        if ct_eq(&shared, &[0u8; 32]) {
+            return Err(CryptoError::InvalidPublicValue);
+        }
+        Ok(shared)
     }
 }
 
@@ -400,11 +658,89 @@ mod tests {
     }
 
     #[test]
+    fn comb_matches_ladder_on_recoding_edges() {
+        // All-zero and all-ones; every nibble 8 (each becomes −8 with a
+        // carry) and every nibble 7; digit 62 = 15, carrying into digit 63.
+        let mut top_carry = [0u8; 32];
+        top_carry[31] = 0x4f;
+        let mut scalars = vec![[0u8; 32], [0xff; 32], [0x88; 32], [0x77; 32], top_carry];
+        let mut rng = crate::drbg::HmacDrbg::new(b"comb");
+        let rounds = if cfg!(miri) { 2 } else { 256 };
+        for _ in 0..rounds {
+            let mut s = [0u8; 32];
+            rng.fill_bytes(&mut s);
+            scalars.push(s);
+        }
+        for mut s in scalars {
+            for _ in 0..2 {
+                assert_eq!(public_key(&s), x25519(&s, &BASEPOINT), "{}", hex(&s));
+                s[31] ^= 0x80; // bit 255 is cleared by clamping on both paths
+            }
+        }
+    }
+
+    #[test]
+    fn curve_constants_are_consistent() {
+        let d = Fe::ZERO
+            .sub(&Fe::ONE.mul_small(121665))
+            .mul(&Fe::ONE.mul_small(121666).invert());
+        assert_eq!(d.add(&d).to_bytes(), D2.to_bytes());
+        assert_eq!(B_Y.mul_small(5).to_bytes(), Fe::ONE.mul_small(4).to_bytes());
+        // −x² + y² = 1 + d·x²·y²
+        let (xx, yy) = (B_X.square(), B_Y.square());
+        assert_eq!(
+            yy.sub(&xx).to_bytes(),
+            Fe::ONE.add(&d.mul(&xx).mul(&yy)).to_bytes()
+        );
+    }
+
+    #[test]
+    fn low_order_peer_values_are_rejected() {
+        // u = 0, 1, p−1, p, p+1 and the two order-8 points, each also
+        // with bit 255 set (RFC 7748 masks it off).
+        let mut p_minus_1 = [0xff; 32];
+        p_minus_1[0] = 0xec;
+        p_minus_1[31] = 0x7f;
+        let mut p = p_minus_1;
+        p[0] = 0xed;
+        let mut p_plus_1 = p_minus_1;
+        p_plus_1[0] = 0xee;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let low_order = [
+            [0u8; 32],
+            one,
+            p_minus_1,
+            p,
+            p_plus_1,
+            unhex32("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+            unhex32("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+        ];
+        let kp = X25519KeyPair::generate(&mut crate::drbg::HmacDrbg::new(b"low-order"));
+        for mut u in low_order {
+            for _ in 0..2 {
+                assert_eq!(x25519(&kp.secret, &u), [0u8; 32], "{}", hex(&u));
+                assert_eq!(
+                    kp.shared_secret(&u),
+                    Err(CryptoError::InvalidPublicValue),
+                    "{}",
+                    hex(&u)
+                );
+                u[31] ^= 0x80;
+            }
+        }
+        assert!(kp.shared_secret(&BASEPOINT).is_ok());
+    }
+
+    #[test]
     fn keypair_exchange_agrees() {
         let mut rng = crate::drbg::HmacDrbg::new(b"x25519");
         let a = X25519KeyPair::generate(&mut rng);
         let b = X25519KeyPair::generate(&mut rng);
-        assert_eq!(a.shared_secret(&b.public), b.shared_secret(&a.public));
+        assert_eq!(
+            a.shared_secret(&b.public).unwrap(),
+            b.shared_secret(&a.public).unwrap()
+        );
         assert_ne!(a.public, b.public);
     }
 

@@ -280,7 +280,16 @@ proptest! {
         let mut rb = HmacDrbg::from_seed_label(seed_b, "b");
         let a = X25519KeyPair::generate(&mut ra);
         let b = X25519KeyPair::generate(&mut rb);
-        prop_assert_eq!(a.shared_secret(&b.public), b.shared_secret(&a.public));
+        prop_assert_eq!(a.shared_secret(&b.public).unwrap(), b.shared_secret(&a.public).unwrap());
+    }
+
+    #[test]
+    fn x25519_public_key_is_the_ladder_on_the_base_point(
+        s in proptest::collection::vec(any::<u8>(), 32),
+    ) {
+        use ts_crypto::x25519::{public_key, x25519, BASEPOINT};
+        let s: [u8; 32] = s.try_into().unwrap();
+        prop_assert_eq!(public_key(&s), x25519(&s, &BASEPOINT));
     }
 
     // --- DRBG determinism ---

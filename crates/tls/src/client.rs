@@ -367,7 +367,7 @@ impl ClientSide {
                     .try_into()
                     .map_err(|_| TlsError::Decode("bad server point length"))?;
                 let kp = X25519KeyPair::generate(&mut self.rng);
-                premaster = kp.shared_secret(&point).to_vec();
+                premaster = kp.shared_secret(&point)?.to_vec();
                 ClientKeyExchange::Ecdhe {
                     point: kp.public.to_vec(),
                 }

@@ -382,7 +382,7 @@ impl ServerSide {
                     .as_slice()
                     .try_into()
                     .map_err(|_| TlsError::Decode("bad X25519 point length"))?;
-                kp.shared_secret(&point).to_vec()
+                kp.shared_secret(&point)?.to_vec()
             }
             _ => return Err(TlsError::Decode("key exchange type mismatch")),
         };

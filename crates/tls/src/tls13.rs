@@ -185,7 +185,7 @@ pub fn resume(
         PskMode::PskDheKe => {
             let client = X25519KeyPair::generate(rng);
             let server = X25519KeyPair::generate(rng);
-            let shared = client.shared_secret(&server.public);
+            let shared = client.shared_secret(&server.public)?;
             Ok(Tls13Resumption {
                 mode,
                 traffic_secret: derive_labeled(&psk.secret, b"psk_dhe_ke traffic", Some(&shared)),

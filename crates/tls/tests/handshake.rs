@@ -6,6 +6,7 @@ use ts_crypto::bignum::Ub;
 use ts_crypto::dh::DhGroup;
 use ts_crypto::drbg::HmacDrbg;
 use ts_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use ts_crypto::CryptoError;
 use ts_tls::cache::SharedSessionCache;
 use ts_tls::config::{ClientConfig, ResumptionOffer, ServerConfig, ServerIdentity};
 use ts_tls::ephemeral::{EphemeralCache, EphemeralPolicy};
@@ -13,7 +14,7 @@ use ts_tls::pump::{pump, pump_app_data};
 use ts_tls::server::ResumeKind;
 use ts_tls::suites::CipherSuite;
 use ts_tls::ticket::{RotationPolicy, SharedStekManager, StekManager, TicketFormat};
-use ts_tls::{ClientConn, ServerConn, TlsError};
+use ts_tls::{ClientConn, ConnectionCommon, ServerConn, TlsError};
 use ts_x509::{Certificate, CertificateParams, DistinguishedName, RootStore, Validity};
 
 const HOST: &str = "www.test.sim";
@@ -415,6 +416,56 @@ fn even_rsa_modulus_from_server_fails_with_alert() {
         client.write_tls(&mut alert).unwrap();
         assert_eq!(alert, [21, 3, 3, 0, 2, 2, 50], "fatal decode_error alert");
     }
+}
+
+/// Every TLS byte `conn` has queued.
+fn drain_tls(conn: &mut ConnectionCommon) -> Vec<u8> {
+    let mut out = Vec::new();
+    while conn.wants_write() {
+        conn.write_tls(&mut out).unwrap();
+    }
+    out
+}
+
+/// Hand `bytes` to `conn`'s record layer.
+fn feed_tls(conn: &mut ConnectionCommon, mut bytes: &[u8]) {
+    while !bytes.is_empty() {
+        conn.read_tls(&mut bytes).unwrap();
+    }
+}
+
+#[test]
+fn zero_x25519_point_from_client_fails_with_alert() {
+    // A zeroed ClientKeyExchange point is low order: the server's X25519
+    // output would be all zero, which RFC 8422 §5.11 says TLS must abort
+    // on. The server must refuse it with a typed error and a fatal
+    // decrypt_error alert, not derive keys from a zero premaster.
+    let env = build_env();
+    let cfg = server_config(&env, b"zero-point");
+    let mut ccfg = ClientConfig::new(env.root_store.clone(), HOST, 100);
+    ccfg.suites = vec![CipherSuite::EcdheRsaAes128GcmSha256];
+    let mut client = ClientConn::new(ccfg, HmacDrbg::new(b"zero-point-c"));
+    let mut server = ServerConn::new(cfg, HmacDrbg::new(b"zero-point-s"), 100);
+    let hello = drain_tls(&mut client);
+    feed_tls(&mut server, &hello);
+    server.process_new_packets().unwrap();
+    let server_flight = drain_tls(&mut server);
+    feed_tls(&mut client, &server_flight);
+    client.process_new_packets().unwrap();
+    let mut client_flight = drain_tls(&mut client);
+    // Handshake record, ClientKeyExchange, a 32-byte point.
+    assert_eq!(client_flight[0], 22);
+    assert_eq!(client_flight[5], 16);
+    assert_eq!(client_flight[9], 32);
+    client_flight[10..42].fill(0);
+    feed_tls(&mut server, &client_flight);
+    let err = server.process_new_packets().map(|_| ()).unwrap_err();
+    assert_eq!(err, TlsError::Crypto(CryptoError::InvalidPublicValue));
+    assert_eq!(
+        drain_tls(&mut server),
+        [21, 3, 3, 0, 2, 2, 51],
+        "fatal decrypt_error alert"
+    );
 }
 
 #[test]
