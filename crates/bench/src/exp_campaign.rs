@@ -16,7 +16,7 @@ use crate::{Context, DAY};
 use std::collections::BTreeMap;
 use ts_core::groups::ServiceGroup;
 use ts_core::observations::{KexKind, KexSighting, TicketSighting};
-use ts_core::par::{for_each_shard, ShardPlan};
+use ts_core::par::{default_workers, for_each_shard, ShardPlan};
 use ts_core::report::{compare_line, pct, TextTable};
 use ts_core::stream::{CountCdf, GroupAcc, Merge, SpanAcc, TierAcc};
 use ts_core::tiers::tiers_for_population;
@@ -183,7 +183,7 @@ pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     let mut dh_group_acc = GroupAcc::with_horizon(horizon);
     let mut peak_live_entries = 0usize;
     for day in 0..days {
-        for_each_shard(&mut states, crate::default_workers(), |shard_id, state| {
+        for_each_shard(&mut states, default_workers(), |shard_id, state| {
             let mut scanner = Scanner::new(&pop, &format!("daily-campaign-{day}-{shard_id}"));
             let options = CampaignOptions::new().days(day..day + 1);
             let shard_domains = state.domains.clone();

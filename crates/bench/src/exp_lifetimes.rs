@@ -12,8 +12,9 @@
 //! one domain's probe sequence race 18 hours ahead of a sibling's would
 //! prune retired keys out from under it nondeterministically.
 
-use crate::{parallel_map, Context, HOUR};
+use crate::{Context, HOUR};
 use ts_core::observations::{ResumptionMechanism, ResumptionProbe};
+use ts_core::par::{default_workers, parallel_map};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
 use ts_core::stream::CountCdf;
 use ts_population::Population;
@@ -63,7 +64,7 @@ fn lockstep_probes(
 ) -> Vec<ResumptionProbe> {
     // Step 0: establish sessions everywhere at t0.
     let established: Vec<Option<ProbeState>> =
-        parallel_map(domains, crate::default_workers(), |chunk_id, chunk| {
+        parallel_map(domains, default_workers(), |chunk_id, chunk| {
             let mut scanner = Scanner::new(pop, &format!("{label}-est-{chunk_id}"));
             chunk
                 .iter()
@@ -103,7 +104,7 @@ fn lockstep_probes(
             break;
         }
         let results: Vec<(usize, bool)> =
-            parallel_map(&alive_idx, crate::default_workers(), |chunk_id, chunk| {
+            parallel_map(&alive_idx, default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(pop, &format!("{label}-d{step}-{chunk_id}"));
                 chunk
                     .iter()

@@ -1,8 +1,9 @@
 //! Tables 5–7 and Figures 6–7 — cross-domain secret sharing.
 
-use crate::{parallel_map, Context};
+use crate::Context;
 use std::collections::BTreeMap;
 use ts_core::groups::{stats, top_groups, ServiceGroup};
+use ts_core::par::{default_workers, parallel_map};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
 use ts_core::stream::{GroupAcc, Merge};
 use ts_core::treemap::{build_cells, red_cells, LongevityBucket};
@@ -57,7 +58,7 @@ pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
     // shard accumulators then merge in fixed chunk order, which interns
     // names in target order and closes the same partition a single global
     // pass would.
-    let shard_accs = parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
+    let shard_accs = parallel_map(&targets, default_workers(), |chunk_id, chunk| {
         let mut scanner = Scanner::new(&pop, &format!("t5-{chunk_id}"));
         let mut acc = GroupAcc::exact();
         for t in chunk {
@@ -109,7 +110,7 @@ pub fn table6_stek_groups(ctx: &Context) -> SharingResult {
             t0 + window + 30 * 60
         };
         let step: Vec<ts_core::observations::TicketSighting> =
-            parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
+            parallel_map(&targets, default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(&pop, &format!("t6-{k}-{chunk_id}"));
                 let mut s = Vec::new();
                 stek_sharing_scan_streaming(&mut scanner, chunk, at, 0, 1, 0, |x| s.push(x));
@@ -142,7 +143,7 @@ pub fn table7_dh_groups(ctx: &Context) -> SharingResult {
     for k in 0..connections {
         let at = t0 + window * k / connections;
         let step: Vec<ts_core::observations::KexSighting> =
-            parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
+            parallel_map(&targets, default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(&pop, &format!("t7-{k}-{chunk_id}"));
                 let mut s = Vec::new();
                 dh_sharing_scan_streaming(&mut scanner, chunk, at, 0, 1, |x| s.push(x));

@@ -5,7 +5,8 @@
 //! non-blacklisted → browser-trusted → supports offer → ≥2× same value →
 //! all same value.
 
-use crate::{parallel_map, Context};
+use crate::Context;
+use ts_core::par::{default_workers, parallel_map};
 use ts_core::report::{compare_line, pct, TextTable};
 use ts_scanner::burst::{burst_scan_streaming, BurstFunnel, BurstMetric};
 use ts_scanner::{Scanner, SuiteOffer};
@@ -46,7 +47,7 @@ fn scan(
     // that day's transients — the same composition.
     let domains = pop.churn.list_for_day(day);
     let now = day * 86_400 + 4 * 3_600;
-    let funnels = parallel_map(&domains, crate::default_workers(), |chunk_id, chunk| {
+    let funnels = parallel_map(&domains, default_workers(), |chunk_id, chunk| {
         let mut scanner = Scanner::new(pop, &format!("{label}-{chunk_id}"));
         let chunk_vec: Vec<String> = chunk.to_vec();
         // Table 1 only needs the funnel: drop each per-domain summary at

@@ -1,20 +1,19 @@
 //! # ts-bench — the experiment harness
 //!
 //! One function per paper artefact (Tables 1–7, Figures 1–8, the §7.2
-//! target analysis), shared between the `repro` binary and the Criterion
-//! benches. Every experiment runs against a seeded [`Context`] and returns
-//! both structured results and a rendered report with paper-vs-measured
-//! columns.
+//! target analysis), shared between the `repro` binary and the `benches/`
+//! benchmark. Every experiment runs against a seeded [`Context`] and
+//! returns both structured results and a rendered report with
+//! paper-vs-measured columns.
 //!
 //! The heavyweight scans (daily campaign, burst scans, probes) fan out
-//! across threads with crossbeam; results are deterministic for a fixed
-//! (seed, size, worker-partitioning) triple because every worker derives
-//! its DRBG from its chunk index.
+//! across threads with [`ts_core::par`]; results are deterministic for a
+//! fixed (seed, size) pair at any worker count because every worker
+//! derives its DRBG from its chunk index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_smoke;
 pub mod exp_ablation;
 pub mod exp_campaign;
 pub mod exp_exposure;
@@ -79,11 +78,6 @@ impl Context {
             .get_or_init(|| exp_campaign::run_daily_campaign(self))
     }
 }
-
-// The fan-out primitives moved to ts-core so every crate (and the
-// telemetry determinism tests) can share them; re-exported here for
-// source compatibility with existing callers.
-pub use ts_core::par::{default_workers, parallel_map};
 
 #[cfg(test)]
 mod tests {

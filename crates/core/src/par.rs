@@ -1,18 +1,17 @@
 //! Deterministic fan-out shared by the scan and bench layers.
 //!
-//! Moved here from `ts-bench` so `ts-scanner` and future subsystems can
-//! share one implementation (`ts-bench` re-exports these for
-//! compatibility). The contract is stronger than "concatenate in chunk
-//! order": the *chunk layout itself* is a pure function of the item count.
-//! Callers derive DRBG seeds from chunk ids (`daily-campaign-{day}-{id}`),
-//! so if the layout followed the worker count, a 4-core laptop and a
-//! 64-core server would seed different scanners and print different
-//! tables. Instead the input is always split into [`DETERMINISTIC_CHUNKS`]
-//! slices and worker threads pull chunk indices from a shared queue —
-//! workers only change wall-clock time, never results.
+//! The contract is stronger than "concatenate in chunk order": the *chunk
+//! layout itself* is a pure function of the item count. Callers derive
+//! DRBG seeds from chunk ids (`daily-campaign-{day}-{id}`), so if the
+//! layout followed the worker count, a 4-core laptop and a 64-core server
+//! would seed different scanners and print different tables. Instead the
+//! input is always split into [`DETERMINISTIC_CHUNKS`] slices and worker
+//! threads pull chunk indices from a shared queue — workers only change
+//! wall-clock time, never results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
 
 /// Fixed chunk count: every input is split into at most this many chunks,
 /// regardless of how many worker threads execute them.
@@ -72,7 +71,7 @@ impl ShardPlan {
 /// next fan-out could then start threads before the old ones handed their
 /// malloc arenas back, and glibc would create fresh arenas for them (more
 /// peak memory, at random). Joining waits for the full exit.
-fn join_all<T>(handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, T>>) {
+fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) {
     for handle in handles {
         if let Err(panic) = handle.join() {
             std::panic::resume_unwind(panic);
@@ -92,13 +91,13 @@ pub fn for_each_shard<S: Send>(states: &mut [S], workers: usize, f: impl Fn(usiz
     let workers = workers.max(1).min(states.len());
     let cells: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let f = &f;
                 let next = &next;
                 let cells = &cells;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else {
                         break;
@@ -109,8 +108,7 @@ pub fn for_each_shard<S: Send>(states: &mut [S], workers: usize, f: impl Fn(usiz
             })
             .collect();
         join_all(handles);
-    })
-    .expect("scope");
+    });
 }
 
 /// Worker-count override (0 = use [`available_parallelism`]), settable once
@@ -137,14 +135,14 @@ pub fn parallel_map<T: Sync, R: Send>(
     let workers = workers.max(1).min(chunks.len());
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let f = &f;
                 let next = &next;
                 let done = &done;
                 let chunks = &chunks;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(id, chunk)) = chunks.get(i) else {
                         break;
@@ -155,8 +153,7 @@ pub fn parallel_map<T: Sync, R: Send>(
             })
             .collect();
         join_all(handles);
-    })
-    .expect("scope");
+    });
     let mut out = done.into_inner().expect("result sink");
     out.sort_by_key(|(id, _)| *id);
     out.into_iter().flat_map(|(_, v)| v).collect()

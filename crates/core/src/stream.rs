@@ -131,7 +131,6 @@ pub struct SpanAcc {
     live: BTreeMap<(String, u128), (u64, u64)>,
     domains: BTreeMap<String, DomainAgg>,
     closed_pairs: u64,
-    live_high_water: usize,
 }
 
 impl SpanAcc {
@@ -148,7 +147,6 @@ impl SpanAcc {
             live: BTreeMap::new(),
             domains: BTreeMap::new(),
             closed_pairs: 0,
-            live_high_water: 0,
         }
     }
 
@@ -166,7 +164,6 @@ impl SpanAcc {
             .or_default()
             .days
             .insert(day);
-        self.live_high_water = self.live_high_water.max(self.live.len());
     }
 
     /// Advance the watermark to `day` and retire pairs past the horizon.
@@ -263,11 +260,6 @@ impl SpanAcc {
         self.live.len()
     }
 
-    /// High-water mark of live pairs — the memory the horizon bounds.
-    pub fn live_high_water(&self) -> usize {
-        self.live_high_water
-    }
-
     /// Latest day observed.
     pub fn watermark(&self) -> u64 {
         self.watermark
@@ -299,10 +291,6 @@ impl Merge for SpanAcc {
             mine.closed_ids += agg.closed_ids;
             mine.days.union(&agg.days);
         }
-        self.live_high_water = self
-            .live_high_water
-            .max(other.live_high_water)
-            .max(self.live.len());
     }
 }
 
@@ -338,7 +326,7 @@ impl CountCdf {
     }
 
     /// Add `n` samples of `value`.
-    pub fn add_n(&mut self, value: u64, n: u64) {
+    fn add_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -357,7 +345,7 @@ impl CountCdf {
     }
 
     /// Count of samples ≤ `x`.
-    pub fn count_le(&self, x: u64) -> usize {
+    fn count_le(&self, x: u64) -> usize {
         self.counts.range(..=x).map(|(_, c)| *c as usize).sum()
     }
 
@@ -404,14 +392,6 @@ impl CountCdf {
     /// Median by nearest rank.
     pub fn median(&self) -> Option<u64> {
         self.quantile(0.5)
-    }
-
-    /// The CDF evaluated at each breakpoint: `(x, fraction ≤ x)` rows.
-    pub fn series(&self, breakpoints: &[u64]) -> Vec<(u64, f64)> {
-        breakpoints
-            .iter()
-            .map(|&x| (x, self.fraction_le(x)))
-            .collect()
     }
 
     /// Minimum sample.
@@ -518,7 +498,6 @@ pub struct GroupAcc {
     // id fingerprint -> (first holder index, last day sighted)
     holders: BTreeMap<u128, (usize, u64)>,
     evicted_ids: u64,
-    holders_high_water: usize,
 }
 
 impl GroupAcc {
@@ -596,7 +575,6 @@ impl GroupAcc {
                 self.holders.insert(fp, (di, day));
             }
         }
-        self.holders_high_water = self.holders_high_water.max(self.holders.len());
     }
 
     /// Record that `b` accepted `a`'s session: the two share a cache.
@@ -666,11 +644,6 @@ impl GroupAcc {
         self.holders.len()
     }
 
-    /// High-water mark of tracked identifiers.
-    pub fn ids_high_water(&self) -> usize {
-        self.holders_high_water
-    }
-
     /// Identifiers forgotten by the horizon.
     pub fn evicted_ids(&self) -> u64 {
         self.evicted_ids
@@ -711,10 +684,6 @@ impl Merge for GroupAcc {
                 }
             }
         }
-        self.holders_high_water = self
-            .holders_high_water
-            .max(other.holders_high_water)
-            .max(self.holders.len());
     }
 }
 
@@ -910,12 +879,15 @@ mod tests {
         // identical to the exact accumulator's.
         let mut exact = SpanAcc::exact();
         let mut evicting = SpanAcc::with_horizon(Some(3));
+        let mut peak_live = 0;
         for day in 0..30u64 {
             for acc in [&mut exact, &mut evicting] {
                 acc.record("static.sim", "k", day);
                 acc.record("rotator.sim", &format!("r{day}"), day);
-                acc.advance(day);
             }
+            peak_live = peak_live.max(evicting.live_pairs());
+            exact.advance(day);
+            evicting.advance(day);
         }
         assert_eq!(exact.domain_spans(), evicting.domain_spans());
         assert_eq!(exact.pair_count(), evicting.pair_count());
@@ -925,7 +897,7 @@ mod tests {
             "horizon must bound live state, got {}",
             evicting.live_pairs()
         );
-        assert!(evicting.live_high_water() <= 7);
+        assert!(peak_live <= 7, "peak live pairs {peak_live}");
     }
 
     #[test]
@@ -973,12 +945,15 @@ mod tests {
             let gt = 1.0 - c.fraction_le(x);
             assert!((gt - c.fraction_ge(x + 1)).abs() < 1e-12, "x={x}");
         }
-        // The plotted series is monotone and ends at 1.
-        let series = c.series(&[0, 1, 2, 3, 5, 10, 1000]);
-        for w in series.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be monotone: {series:?}");
+        // The plotted CDF is monotone and ends at 1.
+        let breakpoints = [0, 1, 2, 3, 5, 10, 1000];
+        for w in breakpoints.windows(2) {
+            assert!(
+                c.fraction_le(w[1]) >= c.fraction_le(w[0]),
+                "CDF must be monotone at {w:?}"
+            );
         }
-        assert_eq!(series.last().unwrap().1, 1.0);
+        assert_eq!(c.fraction_le(1000), 1.0);
     }
 
     #[test]
@@ -1001,7 +976,8 @@ mod tests {
         assert_eq!(c.fraction_ge(5), 0.0);
         assert_eq!(c.median(), None);
         assert_eq!(c.min(), None);
-        assert_eq!(c.series(&[1, 2]), vec![(1, 0.0), (2, 0.0)]);
+        assert_eq!(c.fraction_le(1), 0.0);
+        assert_eq!(c.fraction_le(2), 0.0);
     }
 
     #[test]

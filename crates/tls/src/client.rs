@@ -10,7 +10,6 @@
 //! ports (`read_tls` / `write_tls`) and readiness queries; call
 //! [`ClientConn::process_new_packets`] after feeding bytes.
 
-use crate::alert::AlertDescription;
 use crate::config::ClientConfig;
 use crate::conn::{self, ConnectionCommon, IoState, Side, Status};
 use crate::error::TlsError;
@@ -524,18 +523,6 @@ impl Side for ClientSide {
                 expected: state_expectation(self.state),
                 got: "ChangeCipherSpec",
             }),
-        }
-    }
-
-    fn alert_for(&self, err: &TlsError) -> AlertDescription {
-        match err {
-            TlsError::Trust(TrustError::UnknownRoot) => AlertDescription::UnknownCa,
-            TlsError::Trust(TrustError::Expired { .. }) => AlertDescription::CertificateExpired,
-            TlsError::Trust(_) => AlertDescription::BadCertificate,
-            TlsError::BadFinished | TlsError::Crypto(_) => AlertDescription::DecryptError,
-            TlsError::UnexpectedMessage { .. } => AlertDescription::UnexpectedMessage,
-            TlsError::NoCommonSuite => AlertDescription::HandshakeFailure,
-            _ => AlertDescription::DecodeError,
         }
     }
 

@@ -211,9 +211,6 @@ pub(crate) trait Side {
         payload: &[u8],
     ) -> Result<(), TlsError>;
 
-    /// Map an error to the alert we send before failing.
-    fn alert_for(&self, err: &TlsError) -> AlertDescription;
-
     /// Mirror a failure into the side's own state machine.
     fn set_failed(&mut self);
 
@@ -221,13 +218,13 @@ pub(crate) trait Side {
     fn note_alert_sent(&self, _desc: AlertDescription) {}
 }
 
-/// Fail the connection: queue a fatal alert and surface the error.
+/// Fail the connection: queue the fatal alert for `err` and surface it.
 pub(crate) fn fail_conn<S: Side + ?Sized>(
     common: &mut ConnectionCommon,
     side: &mut S,
     err: TlsError,
-    desc: AlertDescription,
 ) -> Result<IoState, TlsError> {
+    let desc = err.alert();
     side.set_failed();
     side.note_alert_sent(desc);
     common.status = Status::Failed;
@@ -252,7 +249,7 @@ pub(crate) fn process<S: Side + ?Sized>(
         let record = match common.records.next_record() {
             Ok(Some(r)) => r,
             Ok(None) => return Ok(common.io_state()),
-            Err(e) => return fail_conn(common, side, e, AlertDescription::DecodeError),
+            Err(e) => return fail_conn(common, side, e),
         };
         match record.content_type {
             ContentType::Handshake => {
@@ -262,19 +259,17 @@ pub(crate) fn process<S: Side + ?Sized>(
                     match common.reasm.next(hint) {
                         Ok(Some(msg)) => {
                             if let Err(e) = side.handle_handshake(common, msg) {
-                                let desc = side.alert_for(&e);
-                                return fail_conn(common, side, e, desc);
+                                return fail_conn(common, side, e);
                             }
                         }
                         Ok(None) => break,
-                        Err(e) => return fail_conn(common, side, e, AlertDescription::DecodeError),
+                        Err(e) => return fail_conn(common, side, e),
                     }
                 }
             }
             ContentType::ChangeCipherSpec => {
                 if let Err(e) = side.on_peer_ccs(common, &record.payload) {
-                    let desc = side.alert_for(&e);
-                    return fail_conn(common, side, e, desc);
+                    return fail_conn(common, side, e);
                 }
             }
             ContentType::Alert => {
@@ -297,7 +292,6 @@ pub(crate) fn process<S: Side + ?Sized>(
                             expected: "handshake completion",
                             got: "ApplicationData",
                         },
-                        AlertDescription::UnexpectedMessage,
                     );
                 }
                 common.app_in.extend_from_slice(&record.payload);

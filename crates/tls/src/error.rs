@@ -32,6 +32,25 @@ pub enum TlsError {
     NotReady,
 }
 
+impl TlsError {
+    /// The fatal alert a connection sends when it fails with this error
+    /// (RFC 5246 §7.2). A record that fails to authenticate or decrypt is
+    /// bad_record_mac (§6.2.3); every other crypto failure is
+    /// decrypt_error.
+    pub(crate) fn alert(&self) -> AlertDescription {
+        match self {
+            TlsError::Trust(TrustError::UnknownRoot) => AlertDescription::UnknownCa,
+            TlsError::Trust(TrustError::Expired { .. }) => AlertDescription::CertificateExpired,
+            TlsError::Trust(_) => AlertDescription::BadCertificate,
+            TlsError::Crypto(CryptoError::BadMac) => AlertDescription::BadRecordMac,
+            TlsError::BadFinished | TlsError::Crypto(_) => AlertDescription::DecryptError,
+            TlsError::UnexpectedMessage { .. } => AlertDescription::UnexpectedMessage,
+            TlsError::NoCommonSuite => AlertDescription::HandshakeFailure,
+            _ => AlertDescription::DecodeError,
+        }
+    }
+}
+
 impl From<CryptoError> for TlsError {
     fn from(e: CryptoError) -> Self {
         TlsError::Crypto(e)

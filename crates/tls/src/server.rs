@@ -511,17 +511,6 @@ impl Side for ServerSide {
         Ok(())
     }
 
-    fn alert_for(&self, err: &TlsError) -> AlertDescription {
-        match err {
-            TlsError::NoCommonSuite => AlertDescription::HandshakeFailure,
-            TlsError::BadFinished => AlertDescription::DecryptError,
-            TlsError::Crypto(_) => AlertDescription::DecryptError,
-            TlsError::Trust(_) => AlertDescription::BadCertificate,
-            TlsError::UnexpectedMessage { .. } => AlertDescription::UnexpectedMessage,
-            _ => AlertDescription::DecodeError,
-        }
-    }
-
     fn set_failed(&mut self) {
         self.state = State::Failed;
     }

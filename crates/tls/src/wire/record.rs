@@ -8,7 +8,7 @@
 use crate::error::TlsError;
 use crate::suites::RecordProtection;
 use bytes::{Buf, BufMut, BytesMut};
-use ts_crypto::aead;
+use ts_crypto::{aead, CryptoError};
 
 /// Maximum plaintext fragment length (2^14).
 pub const MAX_FRAGMENT_LEN: usize = 16_384;
@@ -128,6 +128,9 @@ impl DirectionKeys {
         }
     }
 
+    /// Every failed open, short bodies and bad padding included, is
+    /// `Crypto(BadMac)`: RFC 5246 §6.2.3 sends one bad_record_mac alert
+    /// for all of them.
     fn open(
         &self,
         seq: u64,
@@ -138,23 +141,24 @@ impl DirectionKeys {
         // we commit to zero and bind length through the MAC input instead,
         // so the AAD is computable before decryption.
         let aad = record_aad(seq, content_type, 0);
-        match self.protection {
+        let opened = match self.protection {
             RecordProtection::ChaCha20Poly1305 => {
                 let key: &[u8; 32] = self.enc_key[..32].try_into().expect("key len");
                 let nonce = xor_nonce(&self.fixed_iv, seq);
-                aead::chacha20poly1305_open(key, &nonce, &aad, ciphertext).map_err(Into::into)
+                aead::chacha20poly1305_open(key, &nonce, &aad, ciphertext)
             }
             RecordProtection::Aes128Gcm => {
                 let key: &[u8; 16] = self.enc_key[..16].try_into().expect("key len");
                 let nonce = xor_nonce(&self.fixed_iv, seq);
-                aead::aes128gcm_open(key, &nonce, &aad, ciphertext).map_err(Into::into)
+                aead::aes128gcm_open(key, &nonce, &aad, ciphertext)
             }
             RecordProtection::CbcHmacSha256 => {
                 let enc_key: &[u8; 16] = self.enc_key[..16].try_into().expect("key len");
                 let mac_key: &[u8; 32] = self.mac_key[..32].try_into().expect("mac len");
-                aead::cbc_hmac_open(enc_key, mac_key, &aad, ciphertext).map_err(Into::into)
+                aead::cbc_hmac_open(enc_key, mac_key, &aad, ciphertext)
             }
-        }
+        };
+        opened.map_err(|_| TlsError::Crypto(CryptoError::BadMac))
     }
 }
 
@@ -395,14 +399,22 @@ mod tests {
 
     #[test]
     fn wrong_keys_rejected() {
-        let mut writer = RecordLayer::new();
-        writer.set_write_keys(chacha_keys(1));
-        let mut wire = Vec::new();
-        writer.write_record(ContentType::ApplicationData, b"msg", &mut wire);
-        let mut reader = RecordLayer::new();
-        reader.set_read_keys(chacha_keys(2));
-        reader.feed(&wire);
-        assert!(reader.next_record().is_err());
+        // Wrong keys and a body too short for a tag (or an IV) fail alike.
+        let bad_mac = Err(TlsError::Crypto(CryptoError::BadMac));
+        for mk in [cbc_keys as fn(u8) -> DirectionKeys, gcm_keys, chacha_keys] {
+            let mut writer = RecordLayer::new();
+            writer.set_write_keys(mk(1));
+            let mut wire = Vec::new();
+            writer.write_record(ContentType::ApplicationData, b"msg", &mut wire);
+            let mut reader = RecordLayer::new();
+            reader.set_read_keys(mk(2));
+            reader.feed(&wire);
+            assert_eq!(reader.next_record(), bad_mac);
+            let mut reader = RecordLayer::new();
+            reader.set_read_keys(mk(1));
+            reader.feed(&[23, 3, 3, 0, 4, 1, 2, 3, 4]);
+            assert_eq!(reader.next_record(), bad_mac);
+        }
     }
 
     #[test]

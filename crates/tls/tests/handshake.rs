@@ -7,6 +7,7 @@ use ts_crypto::dh::DhGroup;
 use ts_crypto::drbg::HmacDrbg;
 use ts_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use ts_crypto::CryptoError;
+use ts_tls::alert::AlertDescription;
 use ts_tls::cache::SharedSessionCache;
 use ts_tls::config::{ClientConfig, ResumptionOffer, ServerConfig, ServerIdentity};
 use ts_tls::ephemeral::{EphemeralCache, EphemeralPolicy};
@@ -466,6 +467,77 @@ fn zero_x25519_point_from_client_fails_with_alert() {
         [21, 3, 3, 0, 2, 2, 51],
         "fatal decrypt_error alert"
     );
+}
+
+/// One suite per record protection: GCM, ChaCha20-Poly1305, CBC-HMAC.
+const TAMPER_SUITES: [CipherSuite; 3] = [
+    CipherSuite::EcdheRsaAes128GcmSha256,
+    CipherSuite::DheRsaChaCha20Poly1305,
+    CipherSuite::RsaAes128CbcSha256,
+];
+
+#[test]
+fn tampered_client_finished_gets_bad_record_mac() {
+    // The client's Finished is the first record under the new keys. A
+    // flipped byte fails its authentication, and RFC 5246 §6.2.3 sends
+    // bad_record_mac for that, in the clear: the server has not yet
+    // switched its write keys.
+    let env = build_env();
+    let cfg = server_config(&env, b"tamper-cf");
+    for suite in TAMPER_SUITES {
+        let mut ccfg = ClientConfig::new(env.root_store.clone(), HOST, 100);
+        ccfg.suites = vec![suite];
+        let mut client = ClientConn::new(ccfg, HmacDrbg::new(b"tamper-cf-c"));
+        let mut server = ServerConn::new(cfg.clone(), HmacDrbg::new(b"tamper-cf-s"), 100);
+        feed_tls(&mut server, &drain_tls(&mut client));
+        server.process_new_packets().unwrap();
+        feed_tls(&mut client, &drain_tls(&mut server));
+        client.process_new_packets().unwrap();
+        let mut client_flight = drain_tls(&mut client);
+        *client_flight.last_mut().unwrap() ^= 1;
+        feed_tls(&mut server, &client_flight);
+        let err = server.process_new_packets().map(|_| ()).unwrap_err();
+        assert_eq!(err, TlsError::Crypto(CryptoError::BadMac), "{suite:?}");
+        assert_eq!(
+            drain_tls(&mut server),
+            [21, 3, 3, 0, 2, 2, 20],
+            "{suite:?}: fatal bad_record_mac alert"
+        );
+    }
+}
+
+#[test]
+fn tampered_server_finished_gets_bad_record_mac() {
+    // The mirror case: the client already sent its Finished, so its
+    // bad_record_mac alert travels encrypted, and the established server
+    // must read it as that alert.
+    let env = build_env();
+    let cfg = server_config(&env, b"tamper-sf");
+    for suite in TAMPER_SUITES {
+        let mut ccfg = ClientConfig::new(env.root_store.clone(), HOST, 100);
+        ccfg.suites = vec![suite];
+        let mut client = ClientConn::new(ccfg, HmacDrbg::new(b"tamper-sf-c"));
+        let mut server = ServerConn::new(cfg.clone(), HmacDrbg::new(b"tamper-sf-s"), 100);
+        feed_tls(&mut server, &drain_tls(&mut client));
+        server.process_new_packets().unwrap();
+        feed_tls(&mut client, &drain_tls(&mut server));
+        client.process_new_packets().unwrap();
+        feed_tls(&mut server, &drain_tls(&mut client));
+        server.process_new_packets().unwrap();
+        assert!(server.is_established(), "{suite:?}");
+        let mut server_flight = drain_tls(&mut server);
+        *server_flight.last_mut().unwrap() ^= 1;
+        feed_tls(&mut client, &server_flight);
+        let err = client.process_new_packets().map(|_| ()).unwrap_err();
+        assert_eq!(err, TlsError::Crypto(CryptoError::BadMac), "{suite:?}");
+        feed_tls(&mut server, &drain_tls(&mut client));
+        let err = server.process_new_packets().map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            TlsError::PeerAlert(AlertDescription::BadRecordMac),
+            "{suite:?}"
+        );
+    }
 }
 
 #[test]

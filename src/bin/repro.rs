@@ -105,7 +105,6 @@ struct Args {
     workers: usize,
     telemetry_json: Option<String>,
     telemetry_wall: bool,
-    bench_smoke: bool,
 }
 
 fn parse_args() -> Args {
@@ -118,7 +117,6 @@ fn parse_args() -> Args {
         workers: 0, // 0 = hardware default
         telemetry_json: None,
         telemetry_wall: false,
-        bench_smoke: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -151,20 +149,15 @@ fn parse_args() -> Args {
             "--telemetry-wall" => {
                 args.telemetry_wall = true;
             }
-            "--bench-smoke" => {
-                args.bench_smoke = true;
-            }
             "--help" | "-h" => {
                 println!(
                     "repro [EXPERIMENT] [--size N] [--seed S] [--days D] [--step SECS] \
-                     [--workers N] [--telemetry-json PATH] [--telemetry-wall] [--bench-smoke]\n\
+                     [--workers N] [--telemetry-json PATH] [--telemetry-wall]\n\
                      experiments: all table1..table7 fig1..fig8 google demo tls13 ablation \
                      campaign\n\
                      campaign: sharded daily campaign; deterministic campaign/v1 JSON on stdout\n\
                      --telemetry-wall: include wall-flagged perf metrics (domains/sec, \
-                     peak RSS) in the telemetry JSON — no longer byte-identical\n\
-                     --bench-smoke: skip experiments; print handshake/modexp \
-                     throughput JSON (schema bench-smoke/v1)"
+                     peak RSS) in the telemetry JSON — no longer byte-identical"
                 );
                 std::process::exit(0);
             }
@@ -272,16 +265,6 @@ fn main() {
         run_loadgen(&first[1..]);
     }
     let args = parse_args();
-    if args.bench_smoke {
-        // Performance probe, not an experiment: no population build, JSON
-        // on stdout so CI can archive/diff it against BENCH_5.json. The
-        // clock is injected here so ts-bench stays wall-clock-free under
-        // the determinism lint.
-        let t0 = Instant::now();
-        let clock = move || t0.elapsed().as_nanos() as u64;
-        println!("{}", ts_bench::bench_smoke::run(&clock));
-        return;
-    }
     ts_core::par::set_default_workers(args.workers);
     let t0 = Instant::now();
     eprintln!(

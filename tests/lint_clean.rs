@@ -170,6 +170,80 @@ fn removed_connection_api_has_no_callers() {
 }
 
 #[test]
+fn declared_dependencies_are_used() {
+    // Every `[dependencies]` edge of the root package and of each crate
+    // must be used by that package's `src/`: as a path root (`ts_core::`)
+    // or right after `use ` (`pub use ts_crypto as crypto`). A bare word
+    // is not enough, since a name like `bytes` also appears in prose.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut packages = vec![root.to_path_buf()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        packages.push(entry.expect("dir entry").path());
+    }
+    let mut unused = Vec::new();
+    for package in packages {
+        let manifest =
+            std::fs::read_to_string(package.join("Cargo.toml")).expect("readable manifest");
+        let mut source = String::new();
+        read_sources(&package.join("src"), &mut source);
+        for dep in dependency_names(&manifest) {
+            let krate = dep.replace('-', "_");
+            if !is_used(&source, &krate) {
+                unused.push(format!(
+                    "{}: {dep}",
+                    package.strip_prefix(root).unwrap_or(&package).display()
+                ));
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "declared dependencies that no source uses:\n{}",
+        unused.join("\n")
+    );
+}
+
+/// Names listed under `[dependencies]` (not dev- or build-dependencies).
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let mut in_deps = false;
+    let mut names = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = line == "[dependencies]";
+        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            let end = line.find(['.', '=', ' ']).unwrap_or(line.len());
+            names.push(line[..end].to_string());
+        }
+    }
+    names
+}
+
+/// Append every `.rs` file under `dir` to `out`.
+fn read_sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).expect("readable dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            read_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).expect("readable source"));
+            out.push('\n');
+        }
+    }
+}
+
+/// Does `source` name crate `krate` as a path root or right after `use `?
+fn is_used(source: &str, krate: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    source.match_indices(krate).any(|(at, _)| {
+        let before = &source[..at];
+        let after = &source[at + krate.len()..];
+        let whole_word =
+            !before.ends_with(|c: char| ident(c) || c == ':') && !after.starts_with(ident);
+        whole_word && (after.starts_with("::") || before.ends_with("use "))
+    })
+}
+
+#[test]
 fn telemetry_sink_rule_is_armed_for_the_workspace_scan() {
     // The clean verdict above must include the telemetry-sink rule: the
     // built-in sink names and the extra `[telemetry] sinks` entries from
