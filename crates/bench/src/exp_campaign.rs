@@ -324,10 +324,10 @@ pub fn fig3_stek_lifetime(ctx: &Context) -> Fig3 {
 pub fn fig4_stek_by_rank(ctx: &Context) -> String {
     let campaign = ctx.campaign();
     let s = spans(campaign);
-    let tiers = tiers_for_population(ctx.pop.config.size);
+    let tiers = tiers_for_population(ctx.config.size);
     let mut acc = TierAcc::new(&tiers);
     for (domain, ds) in s.stek.domain_spans() {
-        if let Some(t) = ctx.pop.truth.get(&domain) {
+        if let Some(t) = ctx.truth.get(&domain) {
             acc.record(t.rank, ds.max_span_days);
         }
     }
@@ -425,7 +425,7 @@ pub fn top_reuse_table(
     // Order by rank (most popular first), as the paper's tables do.
     let mut ranked: Vec<(usize, String, u64)> = long
         .into_iter()
-        .filter_map(|(domain, span)| ctx.pop.truth.get(&domain).map(|t| (t.rank, domain, span)))
+        .filter_map(|(domain, span)| ctx.truth.get(&domain).map(|t| (t.rank, domain, span)))
         .collect();
     ranked.sort();
     let mut report = String::new();
@@ -485,7 +485,7 @@ pub fn validate_against_truth(ctx: &Context) -> (usize, usize) {
     let mut checked = 0;
     let mut mismatches = 0;
     for (domain, ds) in &spans_by_domain {
-        let truth = match ctx.pop.truth.get(domain) {
+        let truth = match ctx.truth.get(domain) {
             Some(t) => t,
             None => continue,
         };

@@ -18,7 +18,6 @@ pub fn google_target_analysis(ctx: &Context) -> String {
     // (the live scan version is exp_sharing::table6).
     let members: Vec<String> = {
         let mut v: Vec<String> = ctx
-            .pop
             .truth
             .iter()
             .filter(|t| t.operator.as_deref() == Some("goggle"))
@@ -31,7 +30,8 @@ pub fn google_target_analysis(ctx: &Context) -> String {
         label: "goggle".into(),
         members,
     };
-    let analysis = analyze_goggle(&ctx.pop, &group);
+    // The MX census reads DNS, which only a world holds.
+    let analysis = analyze_goggle(&ctx.fresh_pop(), &group);
     let mut report = String::new();
     report.push_str("§7.2 — Target Analysis: the Google analogue\n");
     let mut t = TextTable::new(&["metric", "value"]);
@@ -64,7 +64,7 @@ pub fn google_target_analysis(ctx: &Context) -> String {
         &format!("{per_28h:.2}"),
     ));
     report.push('\n');
-    let mx_rate = analysis.mx_domains as f64 / ctx.pop.churn.unique_domains() as f64;
+    let mx_rate = analysis.mx_domains as f64 / ctx.churn.unique_domains() as f64;
     report.push_str(&compare_line(
         "domains with provider MX",
         "9.1%",

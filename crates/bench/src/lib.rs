@@ -24,25 +24,33 @@ pub mod exp_target;
 pub mod exp_tls13;
 
 use std::sync::OnceLock;
-use ts_population::{Population, PopulationConfig};
+use ts_population::churn::ChurnModel;
+use ts_population::{GroundTruth, KeyMaterial, Population, PopulationConfig};
 
 /// Seconds per day.
 pub const DAY: u64 = 86_400;
 /// Seconds per hour.
 pub const HOUR: u64 = 3_600;
 
-/// A built world plus lazily computed shared artefacts.
+/// What every experiment shares: the config, its key material and what
+/// the world is known to contain, plus lazily computed shared artefacts.
 ///
-/// Simulated virtual time only moves forward inside a `Population` (STEK
-/// managers rotate monotonically), so experiments that scan *different*
-/// virtual time windows must not share one mutable world: each experiment
-/// builds its own via [`Context::fresh_pop`] — byte-identical, since the
-/// build is a pure function of the config.
+/// The context holds no world. Simulated virtual time only moves forward
+/// inside a `Population` (STEK managers rotate monotonically), so
+/// experiments that scan *different* virtual time windows must not share
+/// one mutable world: each experiment builds its own on demand via
+/// [`Context::fresh_pop`] — byte-identical, since the build is a pure
+/// function of the config — from the key material the context keeps, so
+/// no world generates its keys twice.
 pub struct Context {
     /// The population config every experiment world is built from.
     pub config: PopulationConfig,
-    /// A read-mostly reference world (ground truth, DNS, ranks).
-    pub pop: Population,
+    /// The worlds' CA and domain keys, generated once.
+    keys: KeyMaterial,
+    /// What every world was configured with (for estimator validation).
+    pub truth: GroundTruth,
+    /// The ranked list per day.
+    pub churn: ChurnModel,
     /// Browser-trusted stable-core domains (the paper's 291,643 analogue).
     pub core_trusted: Vec<String>,
     campaign: OnceLock<exp_campaign::Campaign>,
@@ -54,13 +62,19 @@ impl Context {
         Self::from_config(PopulationConfig::new(seed, size))
     }
 
-    /// Build with a custom population config.
+    /// Build with a custom population config: one world, of which the
+    /// context keeps the key material, ground truth and churn model.
     pub fn from_config(cfg: PopulationConfig) -> Self {
         let pop = Population::build(cfg.clone());
         let core_trusted = pop.core_trusted();
+        let Population {
+            keys, truth, churn, ..
+        } = pop;
         Context {
             config: cfg,
-            pop,
+            keys,
+            truth,
+            churn,
             core_trusted,
             campaign: OnceLock::new(),
         }
@@ -68,7 +82,7 @@ impl Context {
 
     /// A pristine, byte-identical world for one experiment's exclusive use.
     pub fn fresh_pop(&self) -> Population {
-        Population::build(self.config.clone())
+        Population::build_with(self.config.clone(), self.keys.clone())
     }
 
     /// The shared 63-day campaign (run once, reused by Figures 3–5 and

@@ -423,6 +423,14 @@ impl Ub {
         self.divrem(modulus).1
     }
 
+    /// `self % m` for a single-word modulus: one `u128` division per limb,
+    /// most significant first. Panics if `m` is zero.
+    fn rem_u64(&self, m: u64) -> u64 {
+        self.limbs.iter().rev().fold(0, |r, &limb| {
+            ((((r as u128) << 64) | limb as u128) % m as u128) as u64
+        })
+    }
+
     /// Modular addition.
     pub fn add_mod(&self, other: &Ub, modulus: &Ub) -> Ub {
         self.add(other).rem(modulus)
@@ -632,6 +640,14 @@ impl Montgomery {
         };
         with_kernel!(&self.kernel, k => k.modpow(base, exp))
     }
+
+    /// Whether one of `x², x⁴, …, x^(2^k)` mod n equals `target`, for
+    /// `x` and `target` below n: Miller-Rabin's squaring chain, squared in
+    /// Montgomery form (a bijection on `[0, n)`, so equality carries over)
+    /// with no division. Stops at the first match.
+    fn squarings_reach(&self, x: &Ub, k: usize, target: &Ub) -> bool {
+        with_kernel!(&self.kernel, f => f.squarings_reach(x, k, target))
+    }
 }
 
 /// Montgomery arithmetic modulo an odd `n` with `R = 2^(64N)`, on `N`-limb
@@ -705,6 +721,16 @@ impl<const N: usize> Fixed<N> {
         out
     }
 
+    /// See [`Montgomery::squarings_reach`]; `x` and `target` are below n.
+    fn squarings_reach(&self, x: &Ub, k: usize, target: &Ub) -> bool {
+        let target = self.mul(&to_limbs(target), &self.rr);
+        let mut acc = self.mul(&to_limbs(x), &self.rr);
+        (0..k).any(|_| {
+            acc = self.sqr(&acc);
+            acc == target
+        })
+    }
+
     /// `a·b·R⁻¹ mod n` (CIOS). Each limb of `a` adds `a_i·b` and the
     /// multiple `m·n` that clears the low limb in one pass, shifting the
     /// accumulator down a limb as it goes; the accumulator stays below 2n.
@@ -733,7 +759,10 @@ impl<const N: usize> Fixed<N> {
 
     /// `a²·R⁻¹ mod n` (SOS): the cross products once, doubled, plus the
     /// diagonal, then [`Self::redc`] of the low half. About three quarters
-    /// of the word products of `mul(a, a)`.
+    /// of the word products of `mul(a, a)`. Always inlined, like
+    /// [`Self::redc`]: `modpow`'s window loop must not pay a call per
+    /// squaring just because [`Self::squarings_reach`] squares too.
+    #[inline(always)]
     fn sqr(&self, a: &[u64; N]) -> [u64; N] {
         let mut wide = [[0u64; N]; 2];
         let t = wide.as_flattened_mut();
@@ -783,6 +812,7 @@ impl<const N: usize> Fixed<N> {
     /// and below `n` when `t` is. After `k` of the `N` steps the value is
     /// `(t + m_k·n)/2^(64k) ≤ n + (R - 1 - n)/2^(64k) < R` for the partial
     /// `m_k < 2^(64k)`, so it needs no word above `N` limbs.
+    #[inline(always)]
     fn redc(&self, mut t: [u64; N]) -> [u64; N] {
         for _ in 0..N {
             let m = t[0].wrapping_mul(self.n0inv) as u128;
@@ -860,23 +890,40 @@ pub fn random_below(bound: &Ub, mut fill: impl FnMut(&mut [u8])) -> Ub {
     }
 }
 
-/// Miller-Rabin probable-prime test with `rounds` random bases.
-pub fn is_probable_prime(n: &Ub, rounds: usize, mut fill: impl FnMut(&mut [u8])) -> bool {
-    if n.bit_len() < 2 {
-        return false; // 0 and 1
+/// The primes [`is_probable_prime`] screens a candidate by before any
+/// Miller-Rabin round.
+const SMALL_PRIMES: [u64; 16] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53];
+
+/// The product of the odd [`SMALL_PRIMES`], about 1.63·10¹⁹: it fits a
+/// `u64`, so one residue of a candidate answers all fifteen odd
+/// divisibility questions (and the compiler rejects an overflow).
+const ODD_SMALL_PRIMORIAL: u64 = {
+    let mut product = 1u64;
+    let mut i = 1;
+    while i < SMALL_PRIMES.len() {
+        product *= SMALL_PRIMES[i];
+        i += 1;
     }
-    const SMALL_PRIMES: [u64; 16] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53];
-    for &p in &SMALL_PRIMES {
-        let pp = Ub::from_u64(p);
-        match n.cmp_to(&pp) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => return false,
-            std::cmp::Ordering::Greater => {
-                if n.rem(&pp).is_zero() {
-                    return false;
-                }
-            }
-        }
+    product
+};
+
+/// Miller-Rabin probable-prime test with `rounds` random bases.
+///
+/// Values up to 53 are answered from [`SMALL_PRIMES`]; a larger value
+/// must be odd and have no odd small prime factor, read off one `u64`
+/// residue. The rounds then run in one [`Montgomery`] context (moduli up
+/// to 4096 bits): each base's exponentiation, and the squarings after it,
+/// which compare against `n - 1` in Montgomery form instead of leaving the
+/// domain. Wider moduli take the division-based loop.
+pub fn is_probable_prime(n: &Ub, rounds: usize, mut fill: impl FnMut(&mut [u8])) -> bool {
+    match n.limbs[..] {
+        [] => return false,
+        [v] if v <= SMALL_PRIMES[SMALL_PRIMES.len() - 1] => return SMALL_PRIMES.contains(&v),
+        _ => {}
+    }
+    let residue = n.rem_u64(ODD_SMALL_PRIMORIAL);
+    if !n.is_odd() || SMALL_PRIMES[1..].iter().any(|&p| residue.is_multiple_of(p)) {
+        return false;
     }
     // n - 1 = d * 2^s
     let n_minus_1 = n.sub(&Ub::one());
@@ -886,12 +933,10 @@ pub fn is_probable_prime(n: &Ub, rounds: usize, mut fill: impl FnMut(&mut [u8]))
         d = d.shr(1);
         s += 1;
     }
-    // n survived the small-prime sieve, so it is odd: up to 4096 bits one
-    // Montgomery context serves every round's exponentiation.
     let mont = Montgomery::accepts(n).then(|| Montgomery::new(n));
     let two = Ub::from_u64(2);
     let bound = n.sub(&Ub::from_u64(3)); // bases in [2, n-2]
-    'outer: for _ in 0..rounds {
+    for _ in 0..rounds {
         let a = random_below(&bound, &mut fill).add(&two);
         let mut x = match &mont {
             Some(mont) => mont.modpow(&a, &d),
@@ -900,13 +945,16 @@ pub fn is_probable_prime(n: &Ub, rounds: usize, mut fill: impl FnMut(&mut [u8]))
         if x == Ub::one() || x == n_minus_1 {
             continue;
         }
-        for _ in 0..s - 1 {
-            x = x.mul_mod(&x, n);
-            if x == n_minus_1 {
-                continue 'outer;
-            }
+        let reaches_minus_1 = match &mont {
+            Some(mont) => mont.squarings_reach(&x, s - 1, &n_minus_1),
+            None => (1..s).any(|_| {
+                x = x.mul_mod(&x, n);
+                x == n_minus_1
+            }),
+        };
+        if !reaches_minus_1 {
+            return false;
         }
-        return false;
     }
     true
 }
@@ -1226,6 +1274,122 @@ mod tests {
         // 561, 1105, 1729 fool Fermat but not Miller-Rabin.
         for c in [561u64, 1105, 1729, 2465, 2821, 6601] {
             assert!(!is_probable_prime(&Ub::from_u64(c), 20, &mut fill), "{c}");
+        }
+    }
+
+    /// The screen and witness loop `is_probable_prime` had before the
+    /// `u64` residue and the Montgomery squarings: 16 `Ub::rem` divisions,
+    /// then `Ub::mul_mod` squarings. Kept as the oracle for both.
+    fn reference_is_probable_prime(n: &Ub, rounds: usize, mut fill: impl FnMut(&mut [u8])) -> bool {
+        if n.bit_len() < 2 {
+            return false;
+        }
+        for &p in &SMALL_PRIMES {
+            let pp = Ub::from_u64(p);
+            match n.cmp_to(&pp) {
+                std::cmp::Ordering::Equal => return true,
+                std::cmp::Ordering::Less => return false,
+                std::cmp::Ordering::Greater => {
+                    if n.rem(&pp).is_zero() {
+                        return false;
+                    }
+                }
+            }
+        }
+        let n_minus_1 = n.sub(&Ub::one());
+        let mut d = n_minus_1.clone();
+        let mut s = 0usize;
+        while !d.is_odd() {
+            d = d.shr(1);
+            s += 1;
+        }
+        let two = Ub::from_u64(2);
+        let bound = n.sub(&Ub::from_u64(3));
+        'outer: for _ in 0..rounds {
+            let a = random_below(&bound, &mut fill).add(&two);
+            let mut x = a.modpow(&d, n);
+            if x == Ub::one() || x == n_minus_1 {
+                continue;
+            }
+            for _ in 0..s - 1 {
+                x = x.mul_mod(&x, n);
+                if x == n_minus_1 {
+                    continue 'outer;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    /// `test`'s verdict on `n` and every byte it drew from the filler.
+    fn verdict_and_draws(
+        test: fn(&Ub, usize, &mut dyn FnMut(&mut [u8])) -> bool,
+        n: &Ub,
+    ) -> (bool, Vec<u8>) {
+        let mut stream = fill_counter();
+        let mut drawn = Vec::new();
+        let verdict = test(n, 20, &mut |buf: &mut [u8]| {
+            stream(buf);
+            drawn.extend_from_slice(buf);
+        });
+        (verdict, drawn)
+    }
+
+    /// Same verdict and the same draws from the filler as the reference.
+    fn assert_matches_reference(n: &Ub) {
+        let fast = verdict_and_draws(|n, r, f| is_probable_prime(n, r, f), n);
+        let reference = verdict_and_draws(|n, r, f| reference_is_probable_prime(n, r, f), n);
+        assert_eq!(fast, reference, "n = {}", n.to_hex());
+    }
+
+    #[test]
+    fn primality_matches_the_division_reference_on_small_and_special_values() {
+        let carmichael = [561u64, 1105, 1729, 2465, 2821, 6601];
+        let recognized = [97u64, 65537, 1_000_003, 65535, 1_000_001];
+        for v in (0..=60).chain(carmichael).chain(recognized) {
+            assert_matches_reference(&Ub::from_u64(v));
+        }
+        // Multiples of each small prime, from 2p up to past the screen's
+        // single limb, and primes, so every round's squarings run.
+        let mut fill = fill_counter();
+        for &p in &SMALL_PRIMES {
+            for k in [2u64, 3, 53, 59, 1 << 40] {
+                assert_matches_reference(&Ub::from_u64(p).mul(&Ub::from_u64(k)));
+            }
+            let mut buf = [0u8; 40];
+            fill(&mut buf);
+            assert_matches_reference(&Ub::from_u64(p).mul(&Ub::from_bytes_be(&buf)));
+        }
+        for bits in [64usize, 128, 256, 512] {
+            assert_matches_reference(&gen_prime(bits, &mut fill));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn primality_matches_the_division_reference_on_random_odd_values(
+            bits in 64usize..=512,
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
+        ) {
+            // `bits` wide exactly, and odd.
+            let mut n = Ub::from_bytes_be(&bytes[..bits.div_ceil(8)]);
+            n = n.rem(&Ub::one().shl(bits - 1)).add(&Ub::one().shl(bits - 1));
+            if !n.is_odd() {
+                n = n.add(&Ub::one());
+            }
+            assert_matches_reference(&n);
+        }
+
+        #[test]
+        fn primality_matches_the_division_reference_on_small_prime_multiples(
+            index in 0usize..16,
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..64),
+        ) {
+            let k = Ub::from_bytes_be(&bytes).add(&Ub::from_u64(2));
+            assert_matches_reference(&Ub::from_u64(SMALL_PRIMES[index]).mul(&k));
         }
     }
 

@@ -1,14 +1,16 @@
 //! Assembles the complete simulated ecosystem.
 //!
 //! [`Population::build`] wires together: a simulated CA hierarchy and root
-//! store, the named operators of [`crate::operators`], the notable domains
-//! of Tables 2–4, a behaviour-sampled long tail (half of it on shared
-//! hosting — the source of the paper's thousands of small service groups),
-//! transient churn domains, DNS (A + MX), and the address plan. The result
-//! hosts real TLS endpoints on a [`SimNet`] the scanner can probe.
+//! store (the [`KeyMaterial`]), the named operators of
+//! [`crate::operators`], the notable domains of Tables 2–4, a
+//! behaviour-sampled long tail (half of it on shared hosting — the source
+//! of the paper's thousands of small service groups), transient churn
+//! domains, DNS (A + MX), and the address plan. The result hosts real TLS
+//! endpoints on a [`SimNet`] the scanner can probe.
 
 use crate::churn::ChurnModel;
 use crate::ground_truth::{DomainTruth, GroundTruth};
+use crate::keys::KeyMaterial;
 use crate::operators::{notables, operators, DhKexKind, NotableDomain, OperatorSpec, RotationSpec};
 use crate::profile::{self, DomainBehavior, Software};
 use crate::terminator::{Terminator, VHost};
@@ -16,7 +18,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use ts_crypto::dh::DhGroup;
 use ts_crypto::drbg::HmacDrbg;
-use ts_crypto::rsa::RsaPrivateKey;
 use ts_simnet::addr::AsPlan;
 use ts_simnet::{AsId, Dns, Ip, SimNet};
 use ts_tls::cache::SharedSessionCache;
@@ -24,7 +25,7 @@ use ts_tls::config::ServerIdentity;
 use ts_tls::ephemeral::{EphemeralCache, EphemeralPolicy};
 use ts_tls::suites::CipherSuite;
 use ts_tls::ticket::{RotationPolicy, SharedStekManager, StekManager, TicketFormat};
-use ts_x509::{Blacklist, Certificate, CertificateParams, DistinguishedName, RootStore, Validity};
+use ts_x509::{Blacklist, RootStore};
 
 const DAY: u64 = 86_400;
 const HOUR: u64 = 3_600;
@@ -81,6 +82,10 @@ impl PopulationConfig {
 pub struct Population {
     /// Configuration it was built from.
     pub config: PopulationConfig,
+    /// The keys its certificates were issued from; pass them to
+    /// [`Population::build_with`] to build this world again without
+    /// generating them.
+    pub keys: KeyMaterial,
     /// The network hosting every HTTPS endpoint.
     pub net: SimNet,
     /// DNS zone (A + MX records).
@@ -111,12 +116,7 @@ struct Builder {
     truth: GroundTruth,
     blacklist: Blacklist,
     terminators: Vec<Arc<Terminator>>,
-    keys: Vec<Arc<RsaPrivateKey>>,
-    inter_key: RsaPrivateKey,
-    inter_name: DistinguishedName,
-    inter_cert: Certificate,
-    rogue_key: RsaPrivateKey,
-    rogue_name: DistinguishedName,
+    key_material: KeyMaterial,
     next_serial: u64,
     next_unit: usize,
     // Lookup-only hash map (get/insert, never iterated): purely a
@@ -133,37 +133,16 @@ impl Builder {
 
     /// Issue (and cache) an identity for `domain`.
     fn identity(&mut self, domain: &str, trusted: bool) -> Arc<ServerIdentity> {
-        let key_idx = self.rng.gen_range(self.keys.len() as u64) as usize;
+        let key_idx = self.rng.gen_range(self.key_material.pool_len() as u64) as usize;
         let cache_key = (key_idx, domain.to_string(), trusted);
         if let Some(id) = self.identity_cache.get(&cache_key) {
             return id.clone();
         }
         self.next_serial += 1;
-        let key = self.keys[key_idx].clone();
-        let params = CertificateParams {
-            serial: self.next_serial,
-            subject: DistinguishedName::cn(domain),
-            validity: Validity {
-                not_before: 0,
-                not_after: 10 * 360 * DAY,
-            },
-            dns_names: vec![domain.to_string()],
-            is_ca: false,
-        };
-        let cert = if trusted {
-            Certificate::issue(&params, &key.public, &self.inter_name, &self.inter_key)
-        } else {
-            Certificate::issue(&params, &key.public, &self.rogue_name, &self.rogue_key)
-        };
-        let chain = if trusted {
-            vec![cert, self.inter_cert.clone()]
-        } else {
-            vec![cert]
-        };
-        let id = Arc::new(ServerIdentity {
-            chain,
-            key: (*key).clone(),
-        });
+        let id = Arc::new(
+            self.key_material
+                .identity(key_idx, domain, self.next_serial, trusted),
+        );
         self.identity_cache.insert(cache_key, id.clone());
         id
     }
@@ -260,56 +239,29 @@ fn policy_secs(policy: EphemeralPolicy) -> u64 {
 }
 
 impl Population {
-    /// Build the world from a configuration.
+    /// Build the world from a configuration, generating its key material.
     pub fn build(cfg: PopulationConfig) -> Population {
+        Population::assemble(cfg, None)
+    }
+
+    /// Build the world from a configuration and the key material of
+    /// another world of the same seed, key size and key-pool size: the
+    /// world [`Population::build`] returns, without generating the keys
+    /// again. Panics if `keys` belong to a different seed or key config.
+    pub fn build_with(cfg: PopulationConfig, keys: KeyMaterial) -> Population {
+        keys.assert_generated_for(&cfg);
+        Population::assemble(cfg, Some(keys))
+    }
+
+    /// The world on `keys`, or on keys generated from the population
+    /// DRBG's first two forks when there are none. The forks are drawn
+    /// either way, so every later fork, and so the world, is the same.
+    fn assemble(cfg: PopulationConfig, keys: Option<KeyMaterial>) -> Population {
         let mut rng = HmacDrbg::from_seed_label(cfg.seed, "population");
-
-        // --- PKI ---
-        let mut pki_rng = rng.fork("pki");
-        let root_key = RsaPrivateKey::generate(cfg.rsa_bits, &mut pki_rng).expect("root keygen");
-        let root_name = DistinguishedName::cn("NSS-sim Root CA");
-        let root_cert = Certificate::issue(
-            &CertificateParams {
-                serial: 1,
-                subject: root_name.clone(),
-                validity: Validity {
-                    not_before: 0,
-                    not_after: 20 * 360 * DAY,
-                },
-                dns_names: vec![],
-                is_ca: true,
-            },
-            &root_key.public,
-            &root_name,
-            &root_key,
-        );
-        let inter_key = RsaPrivateKey::generate(cfg.rsa_bits, &mut pki_rng).expect("inter keygen");
-        let inter_name = DistinguishedName::cn("NSS-sim Issuing CA");
-        let inter_cert = Certificate::issue(
-            &CertificateParams {
-                serial: 2,
-                subject: inter_name.clone(),
-                validity: Validity {
-                    not_before: 0,
-                    not_after: 20 * 360 * DAY,
-                },
-                dns_names: vec![],
-                is_ca: true,
-            },
-            &inter_key.public,
-            &root_name,
-            &root_key,
-        );
-        let rogue_key = RsaPrivateKey::generate(cfg.rsa_bits, &mut pki_rng).expect("rogue keygen");
-        let rogue_name = DistinguishedName::cn("Untrusted Self-Sign CA");
-        let mut store = RootStore::new();
-        store.add_root(root_cert);
-
-        // --- Key pool ---
-        let mut key_rng = rng.fork("key-pool");
-        let keys: Vec<Arc<RsaPrivateKey>> = (0..cfg.key_pool)
-            .map(|_| Arc::new(RsaPrivateKey::generate(cfg.rsa_bits, &mut key_rng).expect("keygen")))
-            .collect();
+        let pki_rng = rng.fork("pki");
+        let key_rng = rng.fork("key-pool");
+        let keys = keys.unwrap_or_else(|| KeyMaterial::generate(&cfg, pki_rng, key_rng));
+        let root_store = Arc::new(keys.root_store());
 
         let mut b = Builder {
             cfg: cfg.clone(),
@@ -320,12 +272,7 @@ impl Population {
             truth: GroundTruth::new(),
             blacklist: Blacklist::new(),
             terminators: Vec::new(),
-            keys,
-            inter_key,
-            inter_name,
-            inter_cert,
-            rogue_key,
-            rogue_name,
+            key_material: keys,
             next_serial: 100,
             next_unit: 0,
             identity_cache: HashMap::new(),
@@ -448,9 +395,10 @@ impl Population {
 
         Population {
             config: cfg,
+            keys: b.key_material,
             net: b.net,
             dns: b.dns,
-            root_store: Arc::new(store),
+            root_store,
             blacklist: b.blacklist,
             churn,
             truth: b.truth,

@@ -26,6 +26,7 @@
 pub mod build;
 pub mod churn;
 pub mod ground_truth;
+pub mod keys;
 pub mod operators;
 pub mod profile;
 pub mod shard;
@@ -33,6 +34,7 @@ pub mod terminator;
 
 pub use build::{Population, PopulationConfig};
 pub use ground_truth::GroundTruth;
+pub use keys::KeyMaterial;
 pub use profile::{CachePolicy, DomainBehavior, Software, TicketPolicy};
 pub use shard::PopulationShards;
 pub use terminator::Terminator;

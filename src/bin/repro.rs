@@ -96,6 +96,40 @@ fn timed<T>(span: &'static SpanStat, virtual_secs: u64, f: impl FnOnce() -> T) -
     out
 }
 
+/// Every experiment name `repro` takes (`loadgen` is routed before these
+/// flags are parsed).
+const EXPERIMENTS: &[&str] = &[
+    "all", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig1", "fig2",
+    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "google", "demo", "tls13", "ablation",
+    "campaign",
+];
+
+const USAGE: &str = "repro [EXPERIMENT] [--size N] [--seed S] [--days D] [--step SECS] \
+                     [--workers N] [--telemetry-json PATH] [--telemetry-wall]";
+
+const LOADGEN_USAGE: &str = "repro loadgen [--workers N] [--targets M] [--requests R] \
+                             [--mix FULL/SID/TICKET] [--seed S] [--bulk PCT] \
+                             [--bulk-bytes N] [--telemetry-json PATH]";
+
+/// Report a malformed command line with the usage line on stderr and exit
+/// with status 2, before any world is built.
+fn usage_error(msg: &str, usage: &str) -> ! {
+    eprintln!("repro: {msg}\nusage: {usage}");
+    std::process::exit(2);
+}
+
+/// The value of the flag at `argv[*i]`, parsed, with `i` moved onto it.
+/// A missing or unparsable value is a usage error.
+fn flag_value<T: std::str::FromStr>(argv: &[String], i: &mut usize, usage: &str) -> T {
+    let flag = &argv[*i];
+    *i += 1;
+    let Some(raw) = argv.get(*i) else {
+        usage_error(&format!("{flag} needs a value"), usage)
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: invalid value '{raw}'"), usage))
+}
+
 struct Args {
     experiment: String,
     size: usize,
@@ -107,7 +141,7 @@ struct Args {
     telemetry_wall: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut args = Args {
         experiment: "all".into(),
         size: 8_000,
@@ -118,41 +152,19 @@ fn parse_args() -> Args {
         telemetry_json: None,
         telemetry_wall: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--size" => {
-                i += 1;
-                args.size = argv[i].parse().expect("--size N");
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = argv[i].parse().expect("--seed S");
-            }
-            "--days" => {
-                i += 1;
-                args.days = argv[i].parse().expect("--days D");
-            }
-            "--step" => {
-                i += 1;
-                args.step = argv[i].parse().expect("--step SECS");
-            }
-            "--workers" => {
-                i += 1;
-                args.workers = argv[i].parse().expect("--workers N");
-            }
-            "--telemetry-json" => {
-                i += 1;
-                args.telemetry_json = Some(argv[i].clone());
-            }
-            "--telemetry-wall" => {
-                args.telemetry_wall = true;
-            }
+            "--size" => args.size = flag_value(argv, &mut i, USAGE),
+            "--seed" => args.seed = flag_value(argv, &mut i, USAGE),
+            "--days" => args.days = flag_value(argv, &mut i, USAGE),
+            "--step" => args.step = flag_value(argv, &mut i, USAGE),
+            "--workers" => args.workers = flag_value(argv, &mut i, USAGE),
+            "--telemetry-json" => args.telemetry_json = Some(flag_value(argv, &mut i, USAGE)),
+            "--telemetry-wall" => args.telemetry_wall = true,
             "--help" | "-h" => {
                 println!(
-                    "repro [EXPERIMENT] [--size N] [--seed S] [--days D] [--step SECS] \
-                     [--workers N] [--telemetry-json PATH] [--telemetry-wall]\n\
+                    "{USAGE}\n\
                      experiments: all table1..table7 fig1..fig8 google demo tls13 ablation \
                      campaign\n\
                      campaign: sharded daily campaign; deterministic campaign/v1 JSON on stdout\n\
@@ -161,7 +173,9 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => args.experiment = other.to_string(),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag '{flag}'"), USAGE),
+            name if EXPERIMENTS.contains(&name) => args.experiment = name.to_string(),
+            name => usage_error(&format!("unknown experiment '{name}'"), USAGE),
         }
         i += 1;
     }
@@ -176,56 +190,36 @@ fn run_loadgen(argv: &[String]) -> ! {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--workers" => {
-                i += 1;
-                cfg.workers = argv[i].parse().expect("--workers N");
-            }
-            "--targets" => {
-                i += 1;
-                cfg.targets = argv[i].parse().expect("--targets M");
-            }
-            "--requests" => {
-                i += 1;
-                cfg.requests_per_worker = argv[i].parse().expect("--requests R");
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = argv[i].parse().expect("--seed S");
-            }
+            "--workers" => cfg.workers = flag_value(argv, &mut i, LOADGEN_USAGE),
+            "--targets" => cfg.targets = flag_value(argv, &mut i, LOADGEN_USAGE),
+            "--requests" => cfg.requests_per_worker = flag_value(argv, &mut i, LOADGEN_USAGE),
+            "--seed" => cfg.seed = flag_value(argv, &mut i, LOADGEN_USAGE),
             "--mix" => {
-                i += 1;
-                let parts: Vec<u8> = argv[i]
+                let raw: String = flag_value(argv, &mut i, LOADGEN_USAGE);
+                let parts: Vec<u8> = raw
                     .split('/')
-                    .map(|p| p.parse().expect("--mix FULL/SID/TICKET"))
-                    .collect();
-                assert_eq!(parts.len(), 3, "--mix FULL/SID/TICKET");
+                    .map(|p| p.parse())
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_default();
+                let [full_pct, session_id_pct, ticket_pct] = parts[..] else {
+                    usage_error(&format!("--mix: invalid value '{raw}'"), LOADGEN_USAGE)
+                };
                 cfg.mix = ts_loadgen::Mix {
-                    full_pct: parts[0],
-                    session_id_pct: parts[1],
-                    ticket_pct: parts[2],
+                    full_pct,
+                    session_id_pct,
+                    ticket_pct,
                 };
             }
-            "--bulk" => {
-                i += 1;
-                cfg.bulk_pct = argv[i].parse().expect("--bulk PCT");
-            }
-            "--bulk-bytes" => {
-                i += 1;
-                cfg.bulk_bytes = argv[i].parse().expect("--bulk-bytes N");
-            }
+            "--bulk" => cfg.bulk_pct = flag_value(argv, &mut i, LOADGEN_USAGE),
+            "--bulk-bytes" => cfg.bulk_bytes = flag_value(argv, &mut i, LOADGEN_USAGE),
             "--telemetry-json" => {
-                i += 1;
-                telemetry_json = Some(argv[i].clone());
+                telemetry_json = Some(flag_value(argv, &mut i, LOADGEN_USAGE));
             }
             "--help" | "-h" => {
-                println!(
-                    "repro loadgen [--workers N] [--targets M] [--requests R] \
-                     [--mix FULL/SID/TICKET] [--seed S] [--bulk PCT] \
-                     [--bulk-bytes N] [--telemetry-json PATH]"
-                );
+                println!("{LOADGEN_USAGE}");
                 std::process::exit(0);
             }
-            other => panic!("unknown loadgen flag '{other}'"),
+            other => usage_error(&format!("unknown loadgen flag '{other}'"), LOADGEN_USAGE),
         }
         i += 1;
     }
@@ -260,11 +254,11 @@ fn run_loadgen(argv: &[String]) -> ! {
 }
 
 fn main() {
-    let first: Vec<String> = std::env::args().skip(1).collect();
-    if first.first().map(String::as_str) == Some("loadgen") {
-        run_loadgen(&first[1..]);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("loadgen") {
+        run_loadgen(&argv[1..]);
     }
-    let args = parse_args();
+    let args = parse_args(&argv);
     ts_core::par::set_default_workers(args.workers);
     let t0 = Instant::now();
     eprintln!(
@@ -275,16 +269,14 @@ fn main() {
     cfg.study_days = args.days;
     let ctx = timed(&SPAN_BUILD, 0, || Context::from_config(cfg));
     eprintln!(
-        "[repro] population ready in {:.1}s: {} core domains, {} trusted, {} terminators",
+        "[repro] population ready in {:.1}s: {} core domains, {} trusted",
         t0.elapsed().as_secs_f64(),
-        ctx.pop.churn.core().len(),
+        ctx.churn.core().len(),
         ctx.core_trusted.len(),
-        ctx.pop.terminators.len(),
     );
     let schedule = ProbeSchedule::coarse(args.step, 24 * 3_600);
 
     let run = |name: &str| args.experiment == "all" || args.experiment == name;
-    let mut ran = false;
     let section = |title: &str| {
         println!("\n{}", "=".repeat(74));
         println!("{title}");
@@ -292,7 +284,6 @@ fn main() {
     };
 
     if run("table1") {
-        ran = true;
         let t = Instant::now();
         section("TABLE 1");
         println!(
@@ -302,7 +293,6 @@ fn main() {
         eprintln!("[repro] table1 in {:.1}s", t.elapsed().as_secs_f64());
     }
     if run("fig1") {
-        ran = true;
         let t = Instant::now();
         section("FIGURE 1");
         println!(
@@ -315,7 +305,6 @@ fn main() {
         eprintln!("[repro] fig1 in {:.1}s", t.elapsed().as_secs_f64());
     }
     if run("fig2") {
-        ran = true;
         let t = Instant::now();
         section("FIGURE 2");
         println!(
@@ -364,7 +353,6 @@ fn main() {
         // Explicit-only, like `ablation`: stdout is exactly one JSON
         // document (schema campaign/v1), every field a pure function of
         // (seed, size, days) — CI compares it across worker counts.
-        ran = true;
         let campaign = ctx.campaign();
         let spans = &campaign.spans;
         let mut top = ts_core::stream::TopK::new(10);
@@ -410,37 +398,30 @@ fn main() {
         println!("{}", report.to_json_string());
     }
     if run("fig3") {
-        ran = true;
         section("FIGURE 3");
         println!("{}", exp_campaign::fig3_stek_lifetime(&ctx).report);
     }
     if run("fig4") {
-        ran = true;
         section("FIGURE 4");
         println!("{}", exp_campaign::fig4_stek_by_rank(&ctx));
     }
     if run("fig5") {
-        ran = true;
         section("FIGURE 5");
         println!("{}", exp_campaign::fig5_kex_reuse(&ctx).report);
     }
     if run("table2") {
-        ran = true;
         section("TABLE 2");
         println!("{}", exp_campaign::table2_stek_reuse(&ctx));
     }
     if run("table3") {
-        ran = true;
         section("TABLE 3");
         println!("{}", exp_campaign::table3_dhe_reuse(&ctx));
     }
     if run("table4") {
-        ran = true;
         section("TABLE 4");
         println!("{}", exp_campaign::table4_ecdhe_reuse(&ctx));
     }
     if run("table5") {
-        ran = true;
         let t = Instant::now();
         section("TABLE 5");
         println!(
@@ -450,7 +431,6 @@ fn main() {
         eprintln!("[repro] table5 in {:.1}s", t.elapsed().as_secs_f64());
     }
     if run("table6") {
-        ran = true;
         let t = Instant::now();
         section("TABLE 6");
         println!(
@@ -460,7 +440,6 @@ fn main() {
         eprintln!("[repro] table6 in {:.1}s", t.elapsed().as_secs_f64());
     }
     if run("table7") {
-        ran = true;
         let t = Instant::now();
         section("TABLE 7");
         println!(
@@ -470,12 +449,10 @@ fn main() {
         eprintln!("[repro] table7 in {:.1}s", t.elapsed().as_secs_f64());
     }
     if run("fig6") || run("fig7") {
-        ran = true;
         section("FIGURES 6 & 7");
         println!("{}", exp_sharing::fig6_fig7_treemaps(&ctx));
     }
     if run("fig8") {
-        ran = true;
         let t = Instant::now();
         section("FIGURE 8");
         println!(
@@ -488,33 +465,24 @@ fn main() {
         eprintln!("[repro] fig8 in {:.1}s", t.elapsed().as_secs_f64());
     }
     if run("google") {
-        ran = true;
         section("§7.2 TARGET ANALYSIS");
         println!("{}", exp_target::google_target_analysis(&ctx));
     }
     if run("demo") {
-        ran = true;
         section("§6.1 STEK THEFT DEMO");
         println!("{}", exp_target::stek_theft_demo(&ctx));
     }
     if run("tls13") {
-        ran = true;
         section("§8.1 TLS 1.3 OUTLOOK");
         println!("{}", exp_tls13::tls13_outlook(&ctx));
     }
     if args.experiment == "ablation" {
         // Not part of `all`: ablations are follow-on analyses, not paper
         // artefacts.
-        ran = true;
         section("ABLATION: STEK ROTATION SWEEP");
         println!("{}", exp_ablation::rotation_sweep(&ctx));
         section("ABLATION: PROBE-STEP SENSITIVITY");
         println!("{}", exp_ablation::probe_step_sensitivity(&ctx));
-    }
-
-    if !ran {
-        eprintln!("unknown experiment '{}'; try --help", args.experiment);
-        std::process::exit(2);
     }
 
     if let Some(kb) = peak_rss_kb() {
