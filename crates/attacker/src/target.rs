@@ -7,7 +7,7 @@
 //! Yandex-like provider that never rotates.
 
 use ts_core::groups::ServiceGroup;
-use ts_population::Population;
+use ts_population::GroundTruth;
 
 /// The analysis output for one provider.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,13 +84,15 @@ pub fn analyze_provider(
 }
 
 /// Run the §7.2 analysis against the simulated population's Google
-/// analogue ("goggle") using ground truth for rotation facts and the DNS
-/// MX census for reach.
-pub fn analyze_goggle(pop: &Population, stek_group: &ServiceGroup) -> TargetAnalysis {
-    let mx = pop.dns.domains_with_mx(&pop.goggle_smtp_host).len();
+/// analogue ("goggle") using ground truth for rotation facts and
+/// `mx_domains`, the DNS MX census of the provider's SMTP host, for reach.
+pub fn analyze_goggle(
+    truth: &GroundTruth,
+    stek_group: &ServiceGroup,
+    mx_domains: usize,
+) -> TargetAnalysis {
     // Rotation facts from any goggle domain's ground truth.
-    let truth = pop
-        .truth
+    let truth = truth
         .iter()
         .find(|t| t.operator.as_deref() == Some("goggle"))
         .expect("goggle domains exist");
@@ -100,7 +102,7 @@ pub fn analyze_goggle(pop: &Population, stek_group: &ServiceGroup) -> TargetAnal
         stek_group,
         period,
         28 * 3_600 - period,
-        mx,
+        mx_domains,
     )
 }
 

@@ -167,9 +167,24 @@ impl CampaignSink for ShardState {
 /// shared STEK managers only moves forward, so letting one worker race
 /// ahead to day 40 while another still scans day 2 would freeze rotation
 /// state for every domain sharing a manager across a shard boundary and
-/// corrupt the span estimates. Within a day all grabs carry the same
-/// timestamps, making the shared-state ticks idempotent and the result
-/// deterministic.
+/// corrupt the span estimates.
+///
+/// **The clock within a day is not monotone.** Each domain's grabs run
+/// at 06:00, 06:01 and 06:02, and the next domain starts again at 06:00.
+/// A sibling's 06:01 or 06:02 grab can therefore rotate a STEK manager
+/// that this domain shares before this domain's 06:00 ticket grab, which
+/// then records a key created after its own time. Where the manager is
+/// shared across shards the outcome can depend on thread scheduling:
+/// `peak_live_entries` at size 1500, seed 2016, 63 days has read one
+/// apart between `--workers 2` runs. One pass per grab kind with a
+/// barrier between passes would fix it, but changes the scanner's draw
+/// order and so every pinned digest; it is left for a re-pin.
+///
+/// The DHE and ECDHE passes are value-only grabs, which issue no ticket.
+/// Their servers still advance the STEK manager to the grab's time when
+/// ServerHello promises a ticket, as issuing it would have, so the
+/// managers rotate exactly as under completed handshakes and every
+/// output stays what the completed handshakes produced.
 pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     let pop = ctx.fresh_pop();
     let days = ctx.config.study_days;

@@ -30,8 +30,7 @@ pub fn google_target_analysis(ctx: &Context) -> String {
         label: "goggle".into(),
         members,
     };
-    // The MX census reads DNS, which only a world holds.
-    let analysis = analyze_goggle(&ctx.fresh_pop(), &group);
+    let analysis = analyze_goggle(&ctx.truth, &group, ctx.goggle_mx_domains);
     let mut report = String::new();
     report.push_str("§7.2 — Target Analysis: the Google analogue\n");
     let mut t = TextTable::new(&["metric", "value"]);

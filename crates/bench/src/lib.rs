@@ -53,6 +53,9 @@ pub struct Context {
     pub churn: ChurnModel,
     /// Browser-trusted stable-core domains (the paper's 291,643 analogue).
     pub core_trusted: Vec<String>,
+    /// Domains whose MX record names the Google analogue's SMTP host (the
+    /// §7.2 MX census), a pure function of the config like the truth.
+    pub goggle_mx_domains: usize,
     campaign: OnceLock<exp_campaign::Campaign>,
 }
 
@@ -63,10 +66,12 @@ impl Context {
     }
 
     /// Build with a custom population config: one world, of which the
-    /// context keeps the key material, ground truth and churn model.
+    /// context keeps the key material, ground truth, churn model and MX
+    /// census.
     pub fn from_config(cfg: PopulationConfig) -> Self {
         let pop = Population::build(cfg.clone());
         let core_trusted = pop.core_trusted();
+        let goggle_mx_domains = pop.dns.domains_with_mx(&pop.goggle_smtp_host).len();
         let Population {
             keys, truth, churn, ..
         } = pop;
@@ -76,6 +81,7 @@ impl Context {
             truth,
             churn,
             core_trusted,
+            goggle_mx_domains,
             campaign: OnceLock::new(),
         }
     }
@@ -104,5 +110,14 @@ mod tests {
         let c1 = ctx.campaign() as *const _;
         let c2 = ctx.campaign() as *const _;
         assert_eq!(c1, c2, "campaign computed once");
+    }
+
+    #[test]
+    fn mx_census_is_the_worlds() {
+        let ctx = Context::new(3, 200);
+        let pop = ctx.fresh_pop();
+        let census = pop.dns.domains_with_mx(&pop.goggle_smtp_host).len();
+        assert!(census > 0);
+        assert_eq!(ctx.goggle_mx_domains, census);
     }
 }

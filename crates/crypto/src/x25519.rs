@@ -321,6 +321,47 @@ pub const BASEPOINT: [u8; 32] = {
     b
 };
 
+/// The encodings of every point of order 1, 2, 4 or 8, bit 255 clear:
+/// u = 0, 1, the two order-8 points, p − 1, p and p + 1 (libsodium's
+/// `has_small_order` list).
+const SMALL_ORDER: [[u8; 32]; 7] = {
+    let mut top = [0xff; 32];
+    top[31] = 0x7f;
+    let (mut p_minus_1, mut p, mut p_plus_1) = (top, top, top);
+    p_minus_1[0] = 0xec;
+    p[0] = 0xed;
+    p_plus_1[0] = 0xee;
+    let mut one = [0u8; 32];
+    one[0] = 1;
+    [
+        [0; 32],
+        one,
+        [
+            0xe0, 0xeb, 0x7a, 0x7c, 0x3b, 0x41, 0xb8, 0xae, 0x16, 0x56, 0xe3, 0xfa, 0xf1, 0x9f,
+            0xc4, 0x6a, 0xda, 0x09, 0x8d, 0xeb, 0x9c, 0x32, 0xb1, 0xfd, 0x86, 0x62, 0x05, 0x16,
+            0x5f, 0x49, 0xb8, 0x00,
+        ],
+        [
+            0x5f, 0x9c, 0x95, 0xbc, 0xa3, 0x50, 0x8c, 0x24, 0xb1, 0xd0, 0xb1, 0x55, 0x9c, 0x83,
+            0xef, 0x5b, 0x04, 0x44, 0x5c, 0xc4, 0x58, 0x1c, 0x8e, 0x86, 0xd8, 0x22, 0x4e, 0xdd,
+            0xd0, 0x9f, 0x11, 0x57,
+        ],
+        p_minus_1,
+        p,
+        p_plus_1,
+    ]
+};
+
+/// Is `u` a low-order point? Bit 255 is ignored, as RFC 7748 masks it.
+/// Every scalar maps such a point to the all-zero output, so a peer value
+/// can be refused where it is parsed, before any ladder runs. The value
+/// is public, so the comparison need not be constant time.
+pub fn has_small_order(u: &[u8; 32]) -> bool {
+    let mut masked = *u;
+    masked[31] &= 0x7f;
+    SMALL_ORDER.contains(&masked)
+}
+
 /// 2d, where d = −121665/121666 is the edwards25519 curve constant.
 const D2: Fe = Fe([
     0x69b9426b2f159,
@@ -719,6 +760,7 @@ mod tests {
         let kp = X25519KeyPair::generate(&mut crate::drbg::HmacDrbg::new(b"low-order"));
         for mut u in low_order {
             for _ in 0..2 {
+                assert!(has_small_order(&u), "{}", hex(&u));
                 assert_eq!(x25519(&kp.secret, &u), [0u8; 32], "{}", hex(&u));
                 assert_eq!(
                     kp.shared_secret(&u),
@@ -730,6 +772,20 @@ mod tests {
             }
         }
         assert!(kp.shared_secret(&BASEPOINT).is_ok());
+        assert!(!has_small_order(&BASEPOINT));
+    }
+
+    #[test]
+    fn generated_public_keys_are_not_small_order() {
+        // Public keys are points of large order: none is on the list,
+        // and every ladder over one gives a non-zero secret.
+        let mut rng = crate::drbg::HmacDrbg::new(b"small-order");
+        let kp = X25519KeyPair::generate(&mut rng);
+        for _ in 0..32 {
+            let peer = X25519KeyPair::generate(&mut rng).public;
+            assert!(!has_small_order(&peer), "{}", hex(&peer));
+            assert!(kp.shared_secret(&peer).is_ok());
+        }
     }
 
     #[test]

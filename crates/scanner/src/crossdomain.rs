@@ -5,9 +5,10 @@
 //! * **STEKs** (§5.2): ten connections over a six-hour window plus one
 //!   30-minute snapshot; group domains sharing any STEK identifier.
 //! * **DH values** (§5.3): same cadence with DHE-only and ECDHE-only
-//!   offers; group domains sharing any key-exchange value.
+//!   value-only grabs ([`Scanner::grab_kex`]); group domains sharing any
+//!   key-exchange value.
 
-use crate::grab::{GrabOptions, Scanner, SuiteOffer};
+use crate::grab::{GrabOptions, KexObservation, Scanner, SuiteOffer};
 use std::collections::BTreeMap;
 use ts_core::groups::ServiceGroup;
 use ts_core::observations::{KexKind, KexSighting, SharingEdge, SharingKind, TicketSighting};
@@ -269,17 +270,19 @@ pub fn dh_sharing_scan_streaming(
         ] {
             for k in 0..connections {
                 let at = now + (window_secs * k as u64) / connections.max(1) as u64;
-                let opts = GrabOptions::new().suites(offer);
-                let g = scanner.grab(&t.domain, at, &opts);
-                if let Some(obs) = g.ok() {
-                    if let (true, Some(fp)) = (obs.trusted, &obs.kex_value_fp) {
-                        on_sighting(KexSighting {
-                            domain: t.domain.clone(),
-                            day: at / 86_400,
-                            kex,
-                            value_fp: fp.clone(),
-                        });
-                    }
+                let g = scanner.grab_kex(&t.domain, at, offer);
+                if let Ok(KexObservation {
+                    trusted: true,
+                    kex_value_fp: Some(value_fp),
+                    ..
+                }) = g.outcome
+                {
+                    on_sighting(KexSighting {
+                        domain: t.domain.clone(),
+                        day: at / 86_400,
+                        kex,
+                        value_fp,
+                    });
                 }
             }
         }

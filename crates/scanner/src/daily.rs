@@ -1,10 +1,11 @@
 //! The daily 63-day campaign (§4.3, §4.4 — Figures 3–5, Tables 2–4).
 //!
 //! Each day, for each domain in that day's list: one browser-like grab
-//! recording the issued ticket's STEK identifier, one DHE-only grab and
-//! one ECDHE-first grab recording the server's key-exchange values.
+//! recording the issued ticket's STEK identifier (06:00), then one
+//! DHE-only (06:01) and one ECDHE-first (06:02) value-only grab
+//! ([`Scanner::grab_kex`]) recording the server's key-exchange values.
 
-use crate::grab::{GrabOptions, Scanner, SuiteOffer};
+use crate::grab::{GrabOptions, KexObservation, Scanner, SuiteOffer};
 use ts_core::observations::{KexKind, KexSighting, TicketSighting};
 use ts_simnet::clock::{Clock, DAY, MINUTE};
 use ts_telemetry::{emit, Counter, Event};
@@ -132,6 +133,18 @@ pub fn run_campaign_streaming(
     sink: &mut impl CampaignSink,
 ) -> u64 {
     let mut attempts = 0u64;
+    // The key-exchange passes read only the verified server flight, so
+    // they stop there (`grab_kex`). An RSA fallback on the ECDHE pass
+    // yields no value and records nothing.
+    let kex_passes = [
+        (options.dhe, SuiteOffer::DheOnly, KexKind::Dhe, MINUTE),
+        (
+            options.ecdhe,
+            SuiteOffer::EcdheThenRsa,
+            KexKind::Ecdhe,
+            2 * MINUTE,
+        ),
+    ];
     for day in options.days.clone() {
         let clock = Clock::at(day * DAY + options.scan_time_of_day);
         let now = clock.now();
@@ -153,40 +166,24 @@ pub fn run_campaign_streaming(
                     }
                 }
             }
-            if options.dhe {
-                attempts += 1;
-                let opts = GrabOptions::new().suites(SuiteOffer::DheOnly);
-                let g = scanner.grab(&domain, now + MINUTE, &opts);
-                if let Some(obs) = g.ok() {
-                    if obs.trusted {
-                        if let Some(fp) = &obs.kex_value_fp {
-                            sink.kex(KexSighting {
-                                domain: domain.clone(),
-                                day,
-                                kex: KexKind::Dhe,
-                                value_fp: fp.clone(),
-                            });
-                        }
-                    }
+            for (on, offer, kex, offset) in kex_passes {
+                if !on {
+                    continue;
                 }
-            }
-            if options.ecdhe {
                 attempts += 1;
-                let opts = GrabOptions::new().suites(SuiteOffer::EcdheThenRsa);
-                let g = scanner.grab(&domain, now + 2 * MINUTE, &opts);
-                if let Some(obs) = g.ok() {
-                    if obs.trusted {
-                        // Only ECDHE connections yield a value; RSA
-                        // fallback connections record nothing.
-                        if let Some(fp) = &obs.kex_value_fp {
-                            sink.kex(KexSighting {
-                                domain: domain.clone(),
-                                day,
-                                kex: KexKind::Ecdhe,
-                                value_fp: fp.clone(),
-                            });
-                        }
-                    }
+                let g = scanner.grab_kex(&domain, now + offset, offer);
+                if let Ok(KexObservation {
+                    trusted: true,
+                    kex_value_fp: Some(value_fp),
+                    ..
+                }) = g.outcome
+                {
+                    sink.kex(KexSighting {
+                        domain: domain.clone(),
+                        day,
+                        kex,
+                        value_fp,
+                    });
                 }
             }
         }
@@ -219,7 +216,6 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
     use std::sync::OnceLock;
-    use ts_core::observations::KexKind;
     use ts_core::stream::{DomainSpans, SpanAcc};
     use ts_population::{Population, PopulationConfig};
 
@@ -309,6 +305,81 @@ mod tests {
             .collect();
         assert!(dhe_domains.contains("cookpad.sim"));
         assert!(!dhe_domains.contains(cdn.as_str()));
+    }
+
+    #[test]
+    fn value_only_passes_see_what_full_grabs_saw() {
+        // The campaign as it ran while its DHE and ECDHE passes completed
+        // every handshake, replayed with full grabs on a second world
+        // from the same key material and a scanner of the same label.
+        // The KEX sightings must be identical, and the ticket sightings
+        // too once STEK ids are renamed by first appearance: sealing
+        // draws IVs from the manager's DRBG, so key bytes differ after
+        // the first ticket the value-only passes no longer seal, but
+        // never which key is live when.
+        let cfg = PopulationConfig::new(37, 300);
+        let world = Population::build(cfg.clone());
+        let full_world = Population::build_with(cfg, world.keys.clone());
+        let targets = world.core_trusted();
+        let days = 0..4;
+        let mut scanner = Scanner::new(&world, "daily-parity");
+        let options = CampaignOptions::new().days(days.clone());
+        let data = run_campaign(&mut scanner, &options, |_day| targets.clone());
+
+        let mut full = CampaignData::default();
+        let mut scanner = Scanner::new(&full_world, "daily-parity");
+        for day in days {
+            let now = day * DAY + 6 * 3_600;
+            for domain in &targets {
+                let g = scanner.grab(domain, now, &GrabOptions::new());
+                if let Some(obs) = g.ok().filter(|o| o.trusted) {
+                    if let (Some(stek_id), Some(nst)) = (&obs.stek_id, &obs.ticket) {
+                        full.ticket(TicketSighting {
+                            domain: domain.clone(),
+                            day,
+                            stek_id: stek_id.clone(),
+                            lifetime_hint: nst.lifetime_hint,
+                        });
+                    }
+                }
+                for (offer, kex, at) in [
+                    (SuiteOffer::DheOnly, KexKind::Dhe, now + MINUTE),
+                    (SuiteOffer::EcdheThenRsa, KexKind::Ecdhe, now + 2 * MINUTE),
+                ] {
+                    let g = scanner.grab(domain, at, &GrabOptions::new().suites(offer));
+                    if let Some(obs) = g.ok().filter(|o| o.trusted) {
+                        if let Some(fp) = &obs.kex_value_fp {
+                            full.kex(KexSighting {
+                                domain: domain.clone(),
+                                day,
+                                kex,
+                                value_fp: fp.clone(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
+        assert_eq!(data.kex, full.kex);
+        let canonical = |sightings: &[TicketSighting]| {
+            let mut ids = std::collections::HashMap::new();
+            sightings
+                .iter()
+                .map(|s| {
+                    let next = ids.len();
+                    let id = *ids.entry(s.stek_id.clone()).or_insert(next);
+                    (s.domain.clone(), s.day, id, s.lifetime_hint)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(canonical(&data.tickets), canonical(&full.tickets));
+        let distinct: std::collections::HashSet<&str> =
+            data.tickets.iter().map(|s| s.stek_id.as_str()).collect();
+        let domains: std::collections::HashSet<&str> =
+            data.tickets.iter().map(|s| s.domain.as_str()).collect();
+        assert!(distinct.len() > domains.len(), "some STEK rotated");
+        assert!(!data.kex.is_empty());
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! The TLS grabber: one observed connection.
+//!
+//! Two kinds of grab share the blacklist, DNS, retry and telemetry code:
+//! [`Scanner::grab`] completes the handshake and reports an
+//! [`Observation`]; [`Scanner::grab_kex`] stops once the server flight is
+//! verified and reports a [`KexObservation`], all that the daily DHE and
+//! ECDHE scans and Table 7 read.
 
 use ts_core::observations::fingerprint_hex;
 use ts_crypto::drbg::HmacDrbg;
 use ts_population::Population;
-use ts_simnet::{ConnectError, Ip};
+use ts_simnet::{ConnectError, Ip, SimNet};
 use ts_telemetry::{emit, Counter, Event, Histogram};
+use ts_tls::client::ServerFlight;
 use ts_tls::config::{ClientConfig, ResumptionOffer};
 use ts_tls::server::ResumeKind;
 use ts_tls::session::SessionState;
@@ -24,7 +31,7 @@ static GRAB_RETRIES: Counter = Counter::new("scanner.grab.retries");
 static GRAB_ATTEMPTS: Histogram = Histogram::new("scanner.grab.attempts", &[1, 2, 3, 4, 8]);
 
 /// Count one concluded grab under its class counter and fire the event.
-fn record_grab(outcome: &Result<Observation, GrabFailure>, attempts: u32) {
+fn record_grab<T>(outcome: &Result<T, GrabFailure>, attempts: u32) {
     let (counter, class): (&'static Counter, &'static str) = match outcome {
         Ok(_) => (&GRAB_OK, "ok"),
         Err(f) => (
@@ -200,6 +207,17 @@ impl std::fmt::Display for GrabFailure {
     }
 }
 
+impl From<ConnectError> for GrabFailure {
+    fn from(e: ConnectError) -> Self {
+        match e {
+            ConnectError::Refused => GrabFailure::Refused,
+            ConnectError::Timeout => GrabFailure::Timeout,
+            ConnectError::UnknownHost => GrabFailure::UnknownHost,
+            ConnectError::Tls(e) => GrabFailure::TlsFailed(e),
+        }
+    }
+}
+
 impl std::error::Error for GrabFailure {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -231,20 +249,44 @@ pub struct Observation {
     pub session: SessionState,
 }
 
-/// The result of one grab.
+/// What a value-only key-exchange grab ([`Scanner::grab_kex`]) reveals:
+/// the server flight, verified, with nothing after it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KexObservation {
+    /// Negotiated suite.
+    pub cipher_suite: CipherSuite,
+    /// Chain validated against the root store?
+    pub trusted: bool,
+    /// Hex fingerprint of the server's (EC)DHE public value; `None` when
+    /// the server chose RSA key exchange.
+    pub kex_value_fp: Option<String>,
+}
+
+impl From<ServerFlight> for KexObservation {
+    fn from(flight: ServerFlight) -> Self {
+        KexObservation {
+            cipher_suite: flight.cipher_suite,
+            trusted: flight.trust.is_ok(),
+            kex_value_fp: flight.server_kex_public.as_deref().map(fingerprint_hex),
+        }
+    }
+}
+
+/// The result of one grab: an [`Observation`], or a [`KexObservation`]
+/// from [`Scanner::grab_kex`].
 #[derive(Debug, Clone)]
-pub struct Grab {
+pub struct Grab<T = Observation> {
     /// Target domain.
     pub domain: String,
     /// Resolved address, when DNS succeeded.
     pub ip: Option<Ip>,
     /// Observation or failure.
-    pub outcome: Result<Observation, GrabFailure>,
+    pub outcome: Result<T, GrabFailure>,
 }
 
-impl Grab {
-    /// Shorthand: did the handshake complete?
-    pub fn ok(&self) -> Option<&Observation> {
+impl<T> Grab<T> {
+    /// Shorthand: did the grab succeed?
+    pub fn ok(&self) -> Option<&T> {
         self.outcome.as_ref().ok()
     }
 }
@@ -271,43 +313,86 @@ impl<'a> Scanner<'a> {
 
     /// Perform one grab of `domain` at virtual time `now`.
     pub fn grab(&mut self, domain: &str, now: u64, options: &GrabOptions) -> Grab {
-        if self.pop.blacklist.contains(domain) {
-            let outcome = Err(GrabFailure::Blacklisted);
-            record_grab(&outcome, 0);
-            return Grab {
-                domain: domain.into(),
-                ip: None,
-                outcome,
-            };
+        match self.resolve(domain) {
+            Ok(ip) => self.grab_ip(domain, ip, now, options),
+            Err(grab) => grab,
         }
-        let ip = match self.pop.dns.resolve(domain, &mut self.rng) {
-            Some(ip) => ip,
-            None => {
-                let outcome = Err(GrabFailure::NoDns);
-                record_grab(&outcome, 0);
-                return Grab {
-                    domain: domain.into(),
-                    ip: None,
-                    outcome,
-                };
-            }
+    }
+
+    /// Observe `domain`'s key-exchange value at virtual time `now`,
+    /// offering `offer`: the grab [`Scanner::grab`] would make with
+    /// `GrabOptions::new().suites(offer)`, stopped once the server flight
+    /// is verified. The client generates no key, neither side computes a
+    /// shared secret, and the server stores no session and issues no
+    /// ticket.
+    pub fn grab_kex(&mut self, domain: &str, now: u64, offer: SuiteOffer) -> Grab<KexObservation> {
+        let ip = match self.resolve(domain) {
+            Ok(ip) => ip,
+            Err(grab) => return grab,
         };
-        self.grab_ip(domain, ip, now, options)
+        let options = GrabOptions::new().suites(offer);
+        self.attempt(domain, ip, now, &options, |net, cfg, rng| {
+            net.probe(ip, cfg, now, rng).map(KexObservation::from)
+        })
     }
 
     /// Grab a specific IP with a given SNI (the cross-domain experiments
     /// pick the address explicitly).
     pub fn grab_ip(&mut self, sni: &str, ip: Ip, now: u64, options: &GrabOptions) -> Grab {
-        let mut attempts = 0u32;
-        let finish = |outcome: Result<Observation, GrabFailure>, attempts: u32| {
-            record_grab(&outcome, attempts);
-            Grab {
-                domain: sni.into(),
-                ip: Some(ip),
-                outcome,
-            }
+        self.attempt(sni, ip, now, options, |net, cfg, rng| {
+            let conn = net.connect(ip, cfg, now, rng)?;
+            let summary = conn.client.summary().map_err(ConnectError::Tls)?;
+            let trusted = matches!(summary.trust, Some(Ok(()))) || summary.resumed.is_some();
+            let stek_id = summary.new_ticket.as_ref().map(|nst| {
+                let format = sniff_format(&nst.ticket);
+                extract_stek_id(&nst.ticket, format)
+                    .map(|id| fingerprint_hex(&id))
+                    .unwrap_or_else(|_| "unparseable".into())
+            });
+            Ok(Observation {
+                cipher_suite: summary.cipher_suite,
+                trusted,
+                kex_value_fp: summary.server_kex_public.as_deref().map(fingerprint_hex),
+                session_id: summary.server_session_id,
+                resumed: summary.resumed,
+                ticket: summary.new_ticket,
+                stek_id,
+                session: summary.session,
+            })
+        })
+    }
+
+    /// The blacklist and DNS checks: the address to contact, or the
+    /// concluded grab that never touched the network.
+    fn resolve<T>(&mut self, domain: &str) -> Result<Ip, Grab<T>> {
+        let failure = if self.pop.blacklist.contains(domain) {
+            GrabFailure::Blacklisted
+        } else if let Some(ip) = self.pop.dns.resolve(domain, &mut self.rng) {
+            return Ok(ip);
+        } else {
+            GrabFailure::NoDns
         };
-        for _attempt in 0..=options.retries {
+        let outcome = Err(failure);
+        record_grab(&outcome, 0);
+        Err(Grab {
+            domain: domain.into(),
+            ip: None,
+            outcome,
+        })
+    }
+
+    /// Run `connect` against `ip`, retrying transient timeouts as
+    /// `options` allows, and record the concluded grab.
+    fn attempt<T>(
+        &mut self,
+        sni: &str,
+        ip: Ip,
+        now: u64,
+        options: &GrabOptions,
+        mut connect: impl FnMut(&SimNet, ClientConfig, &mut HmacDrbg) -> Result<T, ConnectError>,
+    ) -> Grab<T> {
+        let mut attempts = 0u32;
+        let outcome = loop {
             attempts += 1;
             let mut cfg = ClientConfig::new(self.pop.root_store.clone(), sni, now);
             cfg.suites = options.suites.suites();
@@ -316,51 +401,18 @@ impl<'a> Scanner<'a> {
                 session: options.sid_resume.clone(),
                 ticket: options.ticket_resume.clone(),
             };
-            match self.pop.net.connect(ip, cfg, now, &mut self.rng) {
-                Ok(conn) => {
-                    let summary = match conn.client.summary() {
-                        Ok(s) => s,
-                        Err(e) => return finish(Err(GrabFailure::TlsFailed(e)), attempts),
-                    };
-                    let trusted =
-                        matches!(summary.trust, Some(Ok(()))) || summary.resumed.is_some();
-                    let stek_id = summary.new_ticket.as_ref().map(|nst| {
-                        let format = sniff_format(&nst.ticket);
-                        extract_stek_id(&nst.ticket, format)
-                            .map(|id| fingerprint_hex(&id))
-                            .unwrap_or_else(|_| "unparseable".into())
-                    });
-                    let kex_value_fp = summary
-                        .server_kex_public
-                        .as_ref()
-                        .map(|v| fingerprint_hex(v));
-                    return finish(
-                        Ok(Observation {
-                            cipher_suite: summary.cipher_suite,
-                            trusted,
-                            session_id: summary.server_session_id.clone(),
-                            resumed: summary.resumed,
-                            ticket: summary.new_ticket.clone(),
-                            stek_id,
-                            kex_value_fp,
-                            session: summary.session.clone(),
-                        }),
-                        attempts,
-                    );
-                }
-                Err(ConnectError::Timeout) => continue,
-                Err(ConnectError::Refused) => {
-                    return finish(Err(GrabFailure::Refused), attempts);
-                }
-                Err(ConnectError::UnknownHost) => {
-                    return finish(Err(GrabFailure::UnknownHost), attempts);
-                }
-                Err(ConnectError::Tls(e)) => {
-                    return finish(Err(GrabFailure::TlsFailed(e)), attempts);
-                }
+            match connect(&self.pop.net, cfg, &mut self.rng) {
+                Ok(observation) => break Ok(observation),
+                Err(ConnectError::Timeout) if attempts <= options.retries => continue,
+                Err(e) => break Err(GrabFailure::from(e)),
             }
+        };
+        record_grab(&outcome, attempts);
+        Grab {
+            domain: sni.into(),
+            ip: Some(ip),
+            outcome,
         }
-        finish(Err(GrabFailure::Timeout), attempts)
     }
 }
 
@@ -454,6 +506,57 @@ mod tests {
             "no common suite: {:?}",
             g.outcome
         );
+    }
+
+    #[test]
+    fn kex_grabs_agree_with_full_grabs() {
+        // Two worlds from one key material serve the same values; two
+        // scanners of one seed label draw the same DNS answers, drops and
+        // endpoint DRBGs. So a value-only grab must see what a full grab
+        // sees, on every core domain and for every offer the scans make.
+        let cfg = PopulationConfig::new(11, 300);
+        let full_world = Population::build(cfg.clone());
+        let kex_world = Population::build_with(cfg, full_world.keys.clone());
+        let mut full = Scanner::new(&full_world, "agreement");
+        let mut kex = Scanner::new(&kex_world, "agreement");
+        let mut classes = std::collections::BTreeMap::new();
+        for domain in full_world.churn.core() {
+            for (i, offer) in [
+                SuiteOffer::DheOnly,
+                SuiteOffer::EcdheOnly,
+                SuiteOffer::EcdheThenRsa,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let now = 1_000 + 60 * i as u64;
+                let g = full.grab(domain, now, &GrabOptions::new().suites(offer));
+                let k = kex.grab_kex(domain, now, offer);
+                assert_eq!(g.ip, k.ip, "{domain} {offer:?}");
+                let class = match (&g.outcome, &k.outcome) {
+                    (Ok(obs), Ok(k)) => {
+                        let seen = (obs.cipher_suite, obs.trusted, &obs.kex_value_fp);
+                        assert_eq!(seen, (k.cipher_suite, k.trusted, &k.kex_value_fp));
+                        let rsa = k.cipher_suite == CipherSuite::RsaAes128CbcSha256;
+                        assert_eq!(rsa, k.kex_value_fp.is_none(), "{domain} {offer:?}");
+                        if rsa {
+                            "ok-rsa"
+                        } else {
+                            "ok"
+                        }
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "{domain} {offer:?}");
+                        a.class()
+                    }
+                    (a, b) => panic!("{domain} {offer:?}: grab {a:?}, grab_kex {b:?}"),
+                };
+                *classes.entry(class).or_insert(0u32) += 1;
+            }
+        }
+        for class in ["ok", "ok-rsa", "tls-failed", "refused"] {
+            assert!(classes.contains_key(class), "no {class} grab: {classes:?}");
+        }
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub mod grab;
 pub mod probe;
 
 pub use daily::{CampaignOptions, CampaignSink};
-pub use grab::{Grab, GrabFailure, GrabOptions, Observation, Scanner, SuiteOffer};
+pub use grab::{Grab, GrabFailure, GrabOptions, KexObservation, Observation, Scanner, SuiteOffer};
 pub use probe::ProbeSchedule;

@@ -12,12 +12,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use ts_crypto::drbg::HmacDrbg;
 use ts_telemetry::{emit, Counter, Event};
+use ts_tls::client::ServerFlight;
 use ts_tls::config::{ClientConfig, ServerConfig};
 use ts_tls::pump::{pump, WireCapture};
 use ts_tls::{ClientConn, ServerConn, TlsError};
 
 static CONNECT_ATTEMPTS: Counter = Counter::new("simnet.connect.attempts");
 static CONNECT_OK: Counter = Counter::new("simnet.connect.ok");
+/// The subset of `simnet.connect.ok` that stopped after the server flight.
+static CONNECT_PROBE: Counter = Counter::new("simnet.connect.probe");
 static CONNECT_REFUSED: Counter = Counter::new("simnet.connect.refused");
 static CONNECT_FLAKY_DROP: Counter = Counter::new("simnet.connect.flaky_drop");
 static CONNECT_UNKNOWN_SNI: Counter = Counter::new("simnet.connect.unknown_sni");
@@ -139,6 +142,55 @@ impl SimNet {
         now: u64,
         rng: &mut HmacDrbg,
     ) -> Result<Connection, ConnectError> {
+        let (client, server, capture) =
+            self.handshake(ip, client_config, now, rng, ClientConn::new)?;
+        if !client.is_established() || !server.is_established() {
+            count_outcome(&CONNECT_TLS_FAIL, "tls-fail");
+            return Err(ConnectError::Tls(TlsError::NotReady));
+        }
+        count_outcome(&CONNECT_OK, "ok");
+        Ok(Connection {
+            client,
+            server,
+            capture,
+        })
+    }
+
+    /// Run [`ClientConn::probe`] against `ip`: the same ClientHello,
+    /// failure injection and DRBG draws as [`SimNet::connect`], but the
+    /// handshake stops once the server flight is verified.
+    pub fn probe(
+        &self,
+        ip: Ip,
+        client_config: ClientConfig,
+        now: u64,
+        rng: &mut HmacDrbg,
+    ) -> Result<ServerFlight, ConnectError> {
+        let (client, _, _) = self.handshake(ip, client_config, now, rng, ClientConn::probe)?;
+        match client.server_flight() {
+            Ok(flight) => {
+                CONNECT_PROBE.inc();
+                count_outcome(&CONNECT_OK, "ok");
+                Ok(flight)
+            }
+            Err(e) => {
+                count_outcome(&CONNECT_TLS_FAIL, "tls-fail");
+                Err(ConnectError::Tls(e))
+            }
+        }
+    }
+
+    /// What `connect` and `probe` share: find the responder, draw the
+    /// transient failure, look up the virtual host, fork both endpoints'
+    /// DRBGs and pump the handshake until neither side has more to say.
+    fn handshake(
+        &self,
+        ip: Ip,
+        client_config: ClientConfig,
+        now: u64,
+        rng: &mut HmacDrbg,
+        client: fn(ClientConfig, HmacDrbg) -> ClientConn,
+    ) -> Result<(ClientConn, ServerConn, WireCapture), ConnectError> {
         CONNECT_ATTEMPTS.inc();
         let responder = match self.responders.get(&ip) {
             Some(r) => r,
@@ -165,25 +217,15 @@ impl SimNet {
         };
         let client_rng = rng.fork("client");
         let server_rng = rng.fork("server");
-        let mut client = ClientConn::new(client_config, client_rng);
+        let mut client = client(client_config, client_rng);
         let mut server = ServerConn::new(server_config, server_rng, now);
-        let result = match pump(&mut client, &mut server) {
-            Ok(r) => r,
+        match pump(&mut client, &mut server) {
+            Ok(result) => Ok((client, server, result.capture)),
             Err(e) => {
                 count_outcome(&CONNECT_TLS_FAIL, "tls-fail");
-                return Err(ConnectError::Tls(e));
+                Err(ConnectError::Tls(e))
             }
-        };
-        if !client.is_established() || !server.is_established() {
-            count_outcome(&CONNECT_TLS_FAIL, "tls-fail");
-            return Err(ConnectError::Tls(TlsError::NotReady));
         }
-        count_outcome(&CONNECT_OK, "ok");
-        Ok(Connection {
-            client,
-            server,
-            capture: result.capture,
-        })
     }
 }
 
@@ -275,6 +317,47 @@ mod tests {
         assert!(conn.server.is_established());
         assert!(!conn.capture.client_to_server.is_empty());
         assert!(!conn.capture.server_to_client.is_empty());
+    }
+
+    #[test]
+    fn probe_sees_what_connect_sees_and_draws_alike() {
+        // Same world, same seed: the probe reports the full handshake's
+        // suite and server value, and leaves the caller's DRBG where
+        // `connect` leaves it.
+        let run = |probe: bool| {
+            let (net, store) = setup();
+            let mut rng = HmacDrbg::new(b"probe");
+            let cfg = ClientConfig::new(store, "host.sim", 100);
+            let seen = if probe {
+                let flight = net.probe(Ip(100), cfg, 100, &mut rng).unwrap();
+                assert_eq!(flight.trust, Ok(()));
+                (flight.cipher_suite, flight.server_kex_public)
+            } else {
+                let conn = net.connect(Ip(100), cfg, 100, &mut rng).unwrap();
+                let summary = conn.client.summary().unwrap();
+                (summary.cipher_suite, summary.server_kex_public)
+            };
+            (seen, rng.bytes(16))
+        };
+        let (full, probe) = (run(false), run(true));
+        assert!(full.0 .1.is_some(), "a PFS suite was negotiated");
+        assert_eq!(full, probe);
+    }
+
+    #[test]
+    fn probe_fails_where_connect_fails() {
+        let (net, store) = setup();
+        let mut rng = HmacDrbg::new(b"probe-fail");
+        let cfg = ClientConfig::new(store.clone(), "host.sim", 100);
+        assert!(matches!(
+            net.probe(Ip(999), cfg, 100, &mut rng),
+            Err(ConnectError::Refused)
+        ));
+        let cfg = ClientConfig::new(store, "other.sim", 100);
+        assert!(matches!(
+            net.probe(Ip(100), cfg, 100, &mut rng),
+            Err(ConnectError::UnknownHost)
+        ));
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! chain and its trust verdict, and — because the stack is white-box — the
 //! master secret itself.
 //!
+//! [`ClientConn::probe`] sends the same ClientHello but stops once the
+//! server's first flight is verified: the chain validated, the
+//! ServerKeyExchange signature checked and its public value range-checked.
+//! It then exposes a [`ServerFlight`] and has generated no key, computed
+//! no shared secret and sent nothing after the ClientHello. The daily
+//! DHE/ECDHE scans read nothing that comes later.
+//!
 //! Sans-I/O: [`ClientConn`] derefs to [`ConnectionCommon`] for the byte
 //! ports (`read_tls` / `write_tls`) and readiness queries; call
 //! [`ClientConn::process_new_packets`] after feeding bytes.
 
-use crate::config::ClientConfig;
+use crate::config::{ClientConfig, ResumptionOffer};
 use crate::conn::{self, ConnectionCommon, IoState, Side, Status};
 use crate::error::TlsError;
 use crate::keys::{key_block, master_secret, verify_data};
@@ -27,7 +34,8 @@ use std::ops::{Deref, DerefMut};
 use ts_crypto::bignum::Ub;
 use ts_crypto::dh::{validate_public, DhGroup, DhKeyPair};
 use ts_crypto::drbg::HmacDrbg;
-use ts_crypto::x25519::X25519KeyPair;
+use ts_crypto::x25519::{has_small_order, X25519KeyPair};
+use ts_crypto::CryptoError;
 use ts_x509::{Certificate, TrustError};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +48,15 @@ enum State {
     AwaitNstOrCcsFull,
     AwaitFinishedFull,
     Established,
+    /// A probe's terminal state: the server flight is verified.
+    FlightVerified,
     Failed,
+}
+
+/// The server's key-exchange value, parsed and checked where it arrives.
+enum PeerKex {
+    Dhe { group: DhGroup, ys: Ub },
+    Ecdhe([u8; 32]),
 }
 
 /// Everything the scanner extracts from one connection.
@@ -67,6 +83,18 @@ pub struct HandshakeSummary {
     pub session: SessionState,
 }
 
+/// What a probe reports: the server's first flight, verified.
+#[derive(Debug, Clone)]
+pub struct ServerFlight {
+    /// Negotiated suite.
+    pub cipher_suite: CipherSuite,
+    /// Trust verdict on the presented chain.
+    pub trust: Result<(), TrustError>,
+    /// The server's (EC)DHE public value; `None` for RSA key exchange.
+    // ctlint: public
+    pub server_kex_public: Option<Vec<u8>>,
+}
+
 /// The client's protocol half: hello/flight sequencing and the study's
 /// observation points. Keying material lives in [`ConnectionCommon`].
 struct ClientSide {
@@ -87,7 +115,9 @@ struct ClientSide {
     chain_der: Vec<Vec<u8>>,
     leaf: Option<Certificate>,
     trust: Option<Result<(), TrustError>>,
-    dh_group_hint: DhGroup,
+    peer_kex: Option<PeerKex>,
+    /// Stop once the server flight is verified (see [`ClientConn::probe`]).
+    probe: bool,
 }
 
 /// A client-side TLS connection.
@@ -111,7 +141,20 @@ impl DerefMut for ClientConn {
 
 impl ClientConn {
     /// Create a connection and immediately queue the ClientHello.
-    pub fn new(config: ClientConfig, mut rng: HmacDrbg) -> Self {
+    pub fn new(config: ClientConfig, rng: HmacDrbg) -> Self {
+        Self::start(config, rng, false)
+    }
+
+    /// Create a probe: the ClientHello [`ClientConn::new`] would send, a
+    /// handshake that stops once the server flight is verified, and then
+    /// [`ClientConn::server_flight`]. A probe offers no resumption, since
+    /// an abbreviated handshake has no flight to verify.
+    pub fn probe(mut config: ClientConfig, rng: HmacDrbg) -> Self {
+        config.resumption = ResumptionOffer::default();
+        Self::start(config, rng, true)
+    }
+
+    fn start(config: ClientConfig, mut rng: HmacDrbg, probe: bool) -> Self {
         let mut client_random = [0u8; 32];
         rng.fill_bytes(&mut client_random);
         let offered_session_id = config
@@ -152,7 +195,8 @@ impl ClientConn {
             chain_der: Vec::new(),
             leaf: None,
             trust: None,
-            dh_group_hint: DhGroup::Sim256,
+            peer_kex: None,
+            probe,
         };
         common.send_handshake(&ch);
         ClientConn { common, side }
@@ -162,6 +206,18 @@ impl ClientConn {
     pub fn process_new_packets(&mut self) -> Result<IoState, TlsError> {
         let ClientConn { common, side } = self;
         conn::process(common, side)
+    }
+
+    /// The verified server flight; available once a probe has stopped.
+    pub fn server_flight(&self) -> Result<ServerFlight, TlsError> {
+        match (self.side.state, self.common.suite, &self.side.trust) {
+            (State::FlightVerified, Some(cipher_suite), Some(trust)) => Ok(ServerFlight {
+                cipher_suite,
+                trust: trust.clone(),
+                server_kex_public: self.side.server_kex_public.clone(),
+            }),
+            _ => Err(TlsError::NotReady),
+        }
     }
 
     /// Scanner-facing summary; available once established.
@@ -309,8 +365,10 @@ impl ClientSide {
         leaf.public_key
             .verify(&signed, &ske.signature)
             .map_err(TlsError::from)?;
-        match (&ske.params, suite.key_exchange()) {
-            (ServerKexParams::Dhe { p, .. }, KeyExchange::Dhe) => {
+        // Check the public value here, so that a probe refuses every
+        // flight the full handshake refuses.
+        let peer = match (&ske.params, suite.key_exchange()) {
+            (ServerKexParams::Dhe { p, ys, .. }, KeyExchange::Dhe) => {
                 // Identify the group by its prime (we only accept named
                 // groups — freeform parameters would need subgroup checks).
                 let prime = Ub::from_bytes_be(p);
@@ -318,20 +376,43 @@ impl ClientSide {
                     .into_iter()
                     .find(|g| *g.prime() == prime)
                     .ok_or(TlsError::Decode("unknown DH group"))?;
-                self.dh_group_hint = group;
+                let ys = Ub::from_bytes_be(ys);
+                validate_public(group, &ys)?;
+                PeerKex::Dhe { group, ys }
             }
-            (ServerKexParams::Ecdhe { .. }, KeyExchange::Ecdhe) => {}
+            (ServerKexParams::Ecdhe { point }, KeyExchange::Ecdhe) => {
+                let point: [u8; 32] = point
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| TlsError::Decode("bad server point length"))?;
+                // A low-order point would make the shared secret all-zero.
+                if has_small_order(&point) {
+                    return Err(CryptoError::InvalidPublicValue.into());
+                }
+                PeerKex::Ecdhe(point)
+            }
             _ => return Err(TlsError::Decode("kex params do not match suite")),
-        }
+        };
+        self.peer_kex = Some(peer);
         self.server_kex_public = Some(ske.params.public_value().to_vec());
         Ok(())
     }
 
     fn on_server_hello_done(&mut self, common: &mut ConnectionCommon) -> Result<(), TlsError> {
         let suite = common.suite.expect("suite set");
+        if suite.key_exchange() != KeyExchange::Rsa && self.peer_kex.is_none() {
+            return Err(TlsError::Decode("missing ServerKeyExchange"));
+        }
+        if self.probe {
+            // Everything the flight can tell is final: stop before any
+            // key is generated.
+            self.state = State::FlightVerified;
+            return Ok(());
+        }
         let premaster: Vec<u8>;
-        let cke = match suite.key_exchange() {
-            KeyExchange::Rsa => {
+        // on_server_kex matched the value to the suite's key exchange.
+        let cke = match &self.peer_kex {
+            None => {
                 let mut pm = vec![0u8; 48];
                 self.rng.fill_bytes(&mut pm);
                 pm[0] = 3;
@@ -343,30 +424,16 @@ impl ClientSide {
                     encrypted_premaster: ct,
                 }
             }
-            KeyExchange::Dhe => {
-                let server_pub = self
-                    .server_kex_public
-                    .as_ref()
-                    .ok_or(TlsError::Decode("missing ServerKeyExchange"))?;
-                let ys = Ub::from_bytes_be(server_pub);
-                validate_public(self.dh_group_hint, &ys)?;
-                let kp = DhKeyPair::generate(self.dh_group_hint, &mut self.rng);
-                premaster = kp.shared_secret(&ys)?;
+            Some(PeerKex::Dhe { group, ys }) => {
+                let kp = DhKeyPair::generate(*group, &mut self.rng);
+                premaster = kp.shared_secret(ys)?;
                 ClientKeyExchange::Dhe {
                     yc: kp.public_bytes(),
                 }
             }
-            KeyExchange::Ecdhe => {
-                let server_pub = self
-                    .server_kex_public
-                    .as_ref()
-                    .ok_or(TlsError::Decode("missing ServerKeyExchange"))?;
-                let point: [u8; 32] = server_pub
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| TlsError::Decode("bad server point length"))?;
+            Some(PeerKex::Ecdhe(point)) => {
                 let kp = X25519KeyPair::generate(&mut self.rng);
-                premaster = kp.shared_secret(&point)?.to_vec();
+                premaster = kp.shared_secret(point)?.to_vec();
                 ClientKeyExchange::Ecdhe {
                     point: kp.public.to_vec(),
                 }
@@ -541,6 +608,7 @@ fn state_expectation(state: State) -> &'static str {
         State::AwaitNstOrCcsFull => "NewSessionTicket or ChangeCipherSpec",
         State::AwaitFinishedFull => "Finished",
         State::Established => "ApplicationData",
+        State::FlightVerified => "nothing (probe stopped)",
         State::Failed => "nothing (failed)",
     }
 }

@@ -229,8 +229,17 @@ impl ServerSide {
             Vec::new()
         };
         let mut extensions = Vec::new();
-        let will_ticket = self.config.tickets.is_some() && self.client_offered_ticket_ext;
-        if will_ticket {
+        if let Some(manager) = self
+            .config
+            .tickets
+            .as_ref()
+            .filter(|_| self.client_offered_ticket_ext)
+        {
+            // Promising a ticket brings the STEK manager to `now`, as
+            // issuing it after the client's Finished would, so a client
+            // that stops after this flight (a probe) leaves the manager's
+            // rotations where a completed handshake would.
+            manager.advance(self.now);
             extensions.push(Extension::SessionTicket(Vec::new()));
         }
         let sh = HandshakeMessage::ServerHello(ServerHello {

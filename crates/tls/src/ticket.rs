@@ -531,6 +531,10 @@ pub struct PinnedStekSet {
 
 struct SharedStekInner {
     manager: Mutex<StekManager>,
+    /// The latest `now` the manager has been ticked to by
+    /// [`SharedStekManager::advance`]; an advance to no later time is a
+    /// no-op and skips the lock.
+    advanced_to: AtomicU64,
     /// Bumped every time `published` is replaced; pinned readers compare
     /// it with a single atomic load before trusting their snapshot.
     // ctlint: publishes(published)
@@ -556,6 +560,7 @@ impl SharedStekManager {
         let published = Arc::new(StekSet::from_manager(&manager));
         SharedStekManager(Arc::new(SharedStekInner {
             manager: Mutex::new(manager),
+            advanced_to: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             published: Mutex::new(published),
         }))
@@ -565,6 +570,18 @@ impl SharedStekManager {
     /// stays under the manager lock.
     pub fn issue(&self, state: &SessionState, now: u64) -> Vec<u8> {
         self.0.manager.lock().issue(state, now)
+    }
+
+    /// Advance virtual time to `now`: rotate and retire keys as the
+    /// policy dictates, as [`Self::issue`] does before sealing. A tick
+    /// never undoes one at a later time, so advancing to a time no later
+    /// than an earlier advance changes nothing; that case takes no lock.
+    pub fn advance(&self, now: u64) {
+        if now <= self.0.advanced_to.load(Ordering::Acquire) {
+            return;
+        }
+        self.0.manager.lock().tick(now);
+        self.0.advanced_to.fetch_max(now, Ordering::AcqRel);
     }
 
     /// Accept a ticket without a standing pin (locks the snapshot mutex

@@ -491,12 +491,13 @@ fn main() {
     }
     let snap = ts_telemetry::snapshot();
     let handshakes = snap.counter("simnet.connect.ok");
+    let probes = snap.counter("simnet.connect.probe");
     let resumptions = snap.counter("tls.server.resume.ticket.hit")
         + snap.counter("tls.server.resume.session_id.hit");
     eprintln!(
-        "[repro] telemetry: {handshakes} successful handshakes ({resumptions} resumed), \
-         {} full, {} STEK rotations — the paper's full-scale runs totalled \
-         33.6M successful handshakes",
+        "[repro] telemetry: {handshakes} successful handshakes ({probes} stopped after \
+         the server flight, {resumptions} resumed), {} full, {} STEK rotations — the \
+         paper's full-scale runs totalled 33.6M successful handshakes",
         snap.counter("tls.server.handshake.full"),
         snap.counter("tls.stek.rotations"),
     );
