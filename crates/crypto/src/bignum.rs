@@ -431,11 +431,6 @@ impl Ub {
         })
     }
 
-    /// Modular addition.
-    pub fn add_mod(&self, other: &Ub, modulus: &Ub) -> Ub {
-        self.add(other).rem(modulus)
-    }
-
     /// Modular multiplication.
     pub fn mul_mod(&self, other: &Ub, modulus: &Ub) -> Ub {
         self.mul(other).rem(modulus)

@@ -13,68 +13,33 @@ use ts_telemetry::{emit, Counter, Event};
 static CAMPAIGN_DAYS: Counter = Counter::new("scanner.campaign.days");
 static CAMPAIGN_ATTEMPTS: Counter = Counter::new("scanner.campaign.attempts");
 
+/// Seconds after midnight each day's scan starts (06:00).
+const SCAN_TIME_OF_DAY: u64 = 6 * 3_600;
+
 /// Options for a daily campaign.
 ///
 /// Construct with [`CampaignOptions::new`] and chain setters:
 ///
 /// ```
 /// use ts_scanner::CampaignOptions;
-/// let opts = CampaignOptions::new().days(0..7).dhe(false);
+/// let opts = CampaignOptions::new().days(0..7);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct CampaignOptions {
     pub(crate) days: std::ops::Range<u64>,
-    pub(crate) scan_time_of_day: u64,
-    pub(crate) tickets: bool,
-    pub(crate) dhe: bool,
-    pub(crate) ecdhe: bool,
 }
 
 impl CampaignOptions {
     /// The paper's campaign: 63 days, scans at 06:00, all three grabs.
     pub fn new() -> Self {
-        CampaignOptions {
-            days: 0..63,
-            scan_time_of_day: 6 * 3_600,
-            tickets: true,
-            dhe: true,
-            ecdhe: true,
-        }
+        CampaignOptions { days: 0..63 }
     }
 
     /// Days to scan (typically `0..63`).
     #[must_use]
     pub fn days(mut self, days: std::ops::Range<u64>) -> Self {
         self.days = days;
-        self
-    }
-
-    /// Seconds after midnight the daily scan fires.
-    #[must_use]
-    pub fn scan_time_of_day(mut self, secs: u64) -> Self {
-        self.scan_time_of_day = secs;
-        self
-    }
-
-    /// Collect ticket sightings?
-    #[must_use]
-    pub fn tickets(mut self, on: bool) -> Self {
-        self.tickets = on;
-        self
-    }
-
-    /// Collect DHE sightings?
-    #[must_use]
-    pub fn dhe(mut self, on: bool) -> Self {
-        self.dhe = on;
-        self
-    }
-
-    /// Collect ECDHE sightings?
-    #[must_use]
-    pub fn ecdhe(mut self, on: bool) -> Self {
-        self.ecdhe = on;
         self
     }
 }
@@ -137,39 +102,29 @@ pub fn run_campaign_streaming(
     // they stop there (`grab_kex`). An RSA fallback on the ECDHE pass
     // yields no value and records nothing.
     let kex_passes = [
-        (options.dhe, SuiteOffer::DheOnly, KexKind::Dhe, MINUTE),
-        (
-            options.ecdhe,
-            SuiteOffer::EcdheThenRsa,
-            KexKind::Ecdhe,
-            2 * MINUTE,
-        ),
+        (SuiteOffer::DheOnly, KexKind::Dhe, MINUTE),
+        (SuiteOffer::EcdheThenRsa, KexKind::Ecdhe, 2 * MINUTE),
     ];
     for day in options.days.clone() {
-        let clock = Clock::at(day * DAY + options.scan_time_of_day);
+        let clock = Clock::at(day * DAY + SCAN_TIME_OF_DAY);
         let now = clock.now();
         debug_assert_eq!(clock.day(), day);
         for domain in domains_for_day(day) {
-            if options.tickets {
-                attempts += 1;
-                let g = scanner.grab(&domain, now, &GrabOptions::new());
-                if let Some(obs) = g.ok() {
-                    if obs.trusted {
-                        if let (Some(stek_id), Some(nst)) = (&obs.stek_id, &obs.ticket) {
-                            sink.ticket(TicketSighting {
-                                domain: domain.clone(),
-                                day,
-                                stek_id: stek_id.clone(),
-                                lifetime_hint: nst.lifetime_hint,
-                            });
-                        }
+            attempts += 1;
+            let g = scanner.grab(&domain, now, &GrabOptions::new());
+            if let Some(obs) = g.ok() {
+                if obs.trusted {
+                    if let (Some(stek_id), Some(nst)) = (&obs.stek_id, &obs.ticket) {
+                        sink.ticket(TicketSighting {
+                            domain: domain.clone(),
+                            day,
+                            stek_id: stek_id.clone(),
+                            lifetime_hint: nst.lifetime_hint,
+                        });
                     }
                 }
             }
-            for (on, offer, kex, offset) in kex_passes {
-                if !on {
-                    continue;
-                }
+            for (offer, kex, offset) in kex_passes {
                 attempts += 1;
                 let g = scanner.grab_kex(&domain, now + offset, offer);
                 if let Ok(KexObservation {

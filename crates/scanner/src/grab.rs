@@ -30,6 +30,9 @@ static GRAB_TLS_FAILED: Counter = Counter::new("scanner.grab.tls_failed");
 static GRAB_RETRIES: Counter = Counter::new("scanner.grab.retries");
 static GRAB_ATTEMPTS: Histogram = Histogram::new("scanner.grab.attempts", &[1, 2, 3, 4, 8]);
 
+/// Transport retries after a transient timeout.
+const RETRIES: u32 = 2;
+
 /// Count one concluded grab under its class counter and fire the event.
 fn record_grab<T>(outcome: &Result<T, GrabFailure>, attempts: u32) {
     let (counter, class): (&'static Counter, &'static str) = match outcome {
@@ -92,8 +95,11 @@ impl SuiteOffer {
 ///
 /// ```
 /// use ts_scanner::{GrabOptions, SuiteOffer};
-/// let opts = GrabOptions::new().suites(SuiteOffer::DheOnly).retries(0);
+/// let opts = GrabOptions::new().suites(SuiteOffer::DheOnly);
 /// ```
+///
+/// Every grab records trust failures instead of aborting the handshake,
+/// and retries a transient timeout twice.
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct GrabOptions {
@@ -104,20 +110,15 @@ pub struct GrabOptions {
     // chained `.resume_session(..)` call must not read as one.
     pub(crate) sid_resume: Option<(Vec<u8>, SessionState)>,
     pub(crate) ticket_resume: Option<(Vec<u8>, SessionState)>,
-    pub(crate) permissive: bool,
-    pub(crate) retries: u32,
 }
 
 impl GrabOptions {
-    /// The defaults: offer every suite, no resumption, permissive trust
-    /// handling (record failures instead of aborting), two retries.
+    /// The defaults: offer every suite, no resumption.
     pub fn new() -> Self {
         GrabOptions {
             suites: SuiteOffer::All,
             sid_resume: None,
             ticket_resume: None,
-            permissive: true,
-            retries: 2,
         }
     }
 
@@ -139,20 +140,6 @@ impl GrabOptions {
     #[must_use]
     pub fn resume_ticket(mut self, ticket: Vec<u8>, state: SessionState) -> Self {
         self.ticket_resume = Some((ticket, state));
-        self
-    }
-
-    /// Record trust failures instead of aborting the handshake.
-    #[must_use]
-    pub fn permissive(mut self, on: bool) -> Self {
-        self.permissive = on;
-        self
-    }
-
-    /// Transport retries on transient timeouts.
-    #[must_use]
-    pub fn retries(mut self, n: u32) -> Self {
-        self.retries = n;
         self
     }
 }
@@ -381,8 +368,8 @@ impl<'a> Scanner<'a> {
         })
     }
 
-    /// Run `connect` against `ip`, retrying transient timeouts as
-    /// `options` allows, and record the concluded grab.
+    /// Run `connect` against `ip`, retrying transient timeouts up to
+    /// [`RETRIES`] times, and record the concluded grab.
     fn attempt<T>(
         &mut self,
         sni: &str,
@@ -396,14 +383,15 @@ impl<'a> Scanner<'a> {
             attempts += 1;
             let mut cfg = ClientConfig::new(self.pop.root_store.clone(), sni, now);
             cfg.suites = options.suites.suites();
-            cfg.verify_certs = !options.permissive;
+            // Record trust failures instead of aborting the handshake.
+            cfg.verify_certs = false;
             cfg.resumption = ResumptionOffer {
                 session: options.sid_resume.clone(),
                 ticket: options.ticket_resume.clone(),
             };
             match connect(&self.pop.net, cfg, &mut self.rng) {
                 Ok(observation) => break Ok(observation),
-                Err(ConnectError::Timeout) if attempts <= options.retries => continue,
+                Err(ConnectError::Timeout) if attempts <= RETRIES => continue,
                 Err(e) => break Err(GrabFailure::from(e)),
             }
         };

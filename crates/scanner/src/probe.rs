@@ -17,19 +17,21 @@ static PROBE_MAX_DELAY: Histogram = Histogram::new(
     &[1, 300, 3_600, 21_600, 86_400],
 );
 
+/// The first resumption attempt, one second after the handshake.
+const FIRST_DELAY: u64 = 1;
+
 /// Probe schedule. The paper's: 1 s, then every 300 s to 86,400 s.
 ///
 /// Construct with [`ProbeSchedule::new`] (paper defaults) or
-/// [`ProbeSchedule::coarse`], then chain setters:
+/// [`ProbeSchedule::coarse`]; the first attempt is always at 1 s:
 ///
 /// ```
 /// use ts_scanner::ProbeSchedule;
-/// let fast = ProbeSchedule::new().step(600).horizon(3_600);
+/// let fast = ProbeSchedule::coarse(600, 3_600);
 /// ```
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ProbeSchedule {
-    pub(crate) first: u64,
     pub(crate) step: u64,
     pub(crate) horizon: u64,
 }
@@ -43,54 +45,25 @@ impl Default for ProbeSchedule {
 impl ProbeSchedule {
     /// The paper's schedule: 1 s, then every 300 s up to 86,400 s.
     pub fn new() -> Self {
-        ProbeSchedule {
-            first: 1,
-            step: 300,
-            horizon: 86_400,
-        }
+        Self::coarse(300, 86_400)
     }
 
-    /// A coarse schedule for tests / fast runs.
+    /// 1 s, then every `step` seconds up to `horizon`: a coarse schedule
+    /// for tests and fast runs.
     pub fn coarse(step: u64, horizon: u64) -> Self {
-        ProbeSchedule {
-            first: 1,
-            step,
-            horizon,
-        }
-    }
-
-    /// First retry offset (seconds).
-    #[must_use]
-    pub fn first(mut self, secs: u64) -> Self {
-        self.first = secs;
-        self
-    }
-
-    /// Step between subsequent retries (seconds).
-    #[must_use]
-    pub fn step(mut self, secs: u64) -> Self {
-        self.step = secs;
-        self
-    }
-
-    /// Stop once delays exceed this horizon (seconds).
-    #[must_use]
-    pub fn horizon(mut self, secs: u64) -> Self {
-        self.horizon = secs;
-        self
+        ProbeSchedule { step, horizon }
     }
 
     /// The first retry offset (the `resumed_at_1s` delay).
     pub fn first_delay(&self) -> u64 {
-        self.first
+        FIRST_DELAY
     }
 
     /// The delays probed, in order.
     pub fn delays(&self) -> impl Iterator<Item = u64> + '_ {
-        let first = self.first;
         let step = self.step;
         let horizon = self.horizon;
-        std::iter::once(first).chain(
+        std::iter::once(FIRST_DELAY).chain(
             (1..)
                 .map(move |k| k * step)
                 .take_while(move |&d| d <= horizon),
@@ -133,7 +106,7 @@ pub fn probe_session_id(
                 .map(|o| o.resumed == Some(ResumeKind::SessionId))
                 .unwrap_or(false);
             if resumed {
-                if delay == schedule.first {
+                if delay == FIRST_DELAY {
                     resumed_at_1s = true;
                 }
                 max_delay = Some(delay);
@@ -202,7 +175,7 @@ pub fn probe_ticket(
             .map(|o| o.resumed == Some(ResumeKind::Ticket))
             .unwrap_or(false);
         if resumed {
-            if delay == schedule.first {
+            if delay == FIRST_DELAY {
                 resumed_at_1s = true;
             }
             max_delay = Some(delay);

@@ -18,43 +18,85 @@
 //! [`ClientConn::process_new_packets`] after feeding bytes.
 
 use crate::config::{ClientConfig, ResumptionOffer};
-use crate::conn::{self, ConnectionCommon, IoState, Side, Status};
+use crate::conn::{self, ConnectionCommon, IoState, Keyed, Side, Status};
 use crate::error::TlsError;
-use crate::keys::{key_block, master_secret, verify_data};
+use crate::keys::{key_block, master_secret, ConnectionKeys, MASTER_SECRET_LEN};
 use crate::server::{kex_signed_content, ResumeKind};
 use crate::session::SessionState;
 use crate::suites::{CipherSuite, KeyExchange};
 use crate::wire::extensions::Extension;
 use crate::wire::handshake::{
-    CertificateMsg, ClientHello, ClientKeyExchange, Finished, HandshakeMessage, NewSessionTicket,
+    CertificateMsg, ClientHello, ClientKeyExchange, HandshakeMessage, NewSessionTicket,
     ServerHello, ServerKexParams, ServerKeyExchange,
 };
-use crate::wire::record::ContentType;
+use crate::wire::record::DirectionKeys;
 use std::ops::{Deref, DerefMut};
 use ts_crypto::bignum::Ub;
 use ts_crypto::dh::{validate_public, DhGroup, DhKeyPair};
 use ts_crypto::drbg::HmacDrbg;
+use ts_crypto::rsa::RsaPublicKey;
 use ts_crypto::x25519::{has_small_order, X25519KeyPair};
 use ts_crypto::CryptoError;
 use ts_x509::{Certificate, TrustError};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the client's handshake stands. Each variant owns what the next
+/// step needs, and a step moves it into the variant that follows.
 enum State {
     AwaitServerHello,
-    AwaitServerFlight,
-    AwaitServerKexOrDone,
-    AwaitCcsAbbrev,
-    AwaitFinishedAbbrev,
-    AwaitNstOrCcsFull,
-    AwaitFinishedFull,
-    Established,
+    /// A Certificate starts a full handshake; a NewSessionTicket or a
+    /// ChangeCipherSpec accepts the offered ticket.
+    AwaitServerFlight {
+        suite: CipherSuite,
+    },
+    AwaitServerKexOrDone {
+        leaf: Certificate,
+        flight: ServerFlight,
+    },
+    AwaitServerHelloDone {
+        peer: PeerKex,
+        flight: ServerFlight,
+    },
+    /// The server may send one NewSessionTicket before its CCS, whose
+    /// write keys `read` then protects what we read.
+    AwaitTicketOrCcs {
+        keys: Keyed,
+        read: DirectionKeys,
+    },
+    AwaitCcs {
+        keys: Keyed,
+        read: DirectionKeys,
+    },
+    AwaitFinished(Keyed),
+    Established {
+        suite: CipherSuite,
+        master: [u8; MASTER_SECRET_LEN],
+    },
     /// A probe's terminal state: the server flight is verified.
-    FlightVerified,
+    FlightVerified(ServerFlight),
     Failed,
 }
 
-/// The server's key-exchange value, parsed and checked where it arrives.
+impl State {
+    fn expects(&self) -> &'static str {
+        match self {
+            State::AwaitServerHello => "ServerHello",
+            State::AwaitServerFlight { .. } => "Certificate or abbreviated handshake",
+            State::AwaitServerKexOrDone { .. } => "ServerKeyExchange or ServerHelloDone",
+            State::AwaitServerHelloDone { .. } => "ServerHelloDone",
+            State::AwaitTicketOrCcs { .. } => "NewSessionTicket or ChangeCipherSpec",
+            State::AwaitCcs { .. } => "ChangeCipherSpec",
+            State::AwaitFinished(_) => "Finished",
+            State::Established { .. } => "ApplicationData",
+            State::FlightVerified(_) => "nothing (probe stopped)",
+            State::Failed => "nothing (failed)",
+        }
+    }
+}
+
+/// What the client's key exchange encrypts to or agrees with, parsed and
+/// checked where it arrives.
 enum PeerKex {
+    Rsa(RsaPublicKey),
     Dhe { group: DhGroup, ys: Ub },
     Ecdhe([u8; 32]),
 }
@@ -95,16 +137,13 @@ pub struct ServerFlight {
     pub server_kex_public: Option<Vec<u8>>,
 }
 
-/// The client's protocol half: hello/flight sequencing and the study's
-/// observation points. Keying material lives in [`ConnectionCommon`].
+/// The client's protocol half: the handshake state and the study's
+/// observation points.
 struct ClientSide {
     config: ClientConfig,
     rng: HmacDrbg,
     state: State,
     // Session IDs travel cleartext in the hellos.
-    // ctlint: public
-    offered_session_id: Vec<u8>,
-    offered_ticket_state: Option<SessionState>,
     // ctlint: public
     server_session_id: Vec<u8>,
     resumed: Option<ResumeKind>,
@@ -113,9 +152,7 @@ struct ClientSide {
     server_kex_public: Option<Vec<u8>>,
     // ctlint: public
     chain_der: Vec<Vec<u8>>,
-    leaf: Option<Certificate>,
     trust: Option<Result<(), TrustError>>,
-    peer_kex: Option<PeerKex>,
     /// Stop once the server flight is verified (see [`ClientConn::probe`]).
     probe: bool,
 }
@@ -157,13 +194,12 @@ impl ClientConn {
     fn start(config: ClientConfig, mut rng: HmacDrbg, probe: bool) -> Self {
         let mut client_random = [0u8; 32];
         rng.fill_bytes(&mut client_random);
-        let offered_session_id = config
+        let session_id = config
             .resumption
             .session
             .as_ref()
             .map(|(id, _)| id.clone())
             .unwrap_or_default();
-        let offered_ticket_state = config.resumption.ticket.as_ref().map(|(_, s)| s.clone());
 
         let mut extensions = vec![Extension::ServerName(config.server_name.clone())];
         if let Some((ticket, _)) = &config.resumption.ticket {
@@ -175,7 +211,7 @@ impl ClientConn {
 
         let ch = HandshakeMessage::ClientHello(ClientHello {
             random: client_random,
-            session_id: offered_session_id.clone(),
+            session_id,
             cipher_suites: config.suites.iter().map(|s| s.id()).collect(),
             extensions,
         });
@@ -186,16 +222,12 @@ impl ClientConn {
             config,
             rng,
             state: State::AwaitServerHello,
-            offered_session_id,
-            offered_ticket_state,
             server_session_id: Vec::new(),
             resumed: None,
             new_ticket: None,
             server_kex_public: None,
             chain_der: Vec::new(),
-            leaf: None,
             trust: None,
-            peer_kex: None,
             probe,
         };
         common.send_handshake(&ch);
@@ -210,22 +242,17 @@ impl ClientConn {
 
     /// The verified server flight; available once a probe has stopped.
     pub fn server_flight(&self) -> Result<ServerFlight, TlsError> {
-        match (self.side.state, self.common.suite, &self.side.trust) {
-            (State::FlightVerified, Some(cipher_suite), Some(trust)) => Ok(ServerFlight {
-                cipher_suite,
-                trust: trust.clone(),
-                server_kex_public: self.side.server_kex_public.clone(),
-            }),
+        match &self.side.state {
+            State::FlightVerified(flight) => Ok(flight.clone()),
             _ => Err(TlsError::NotReady),
         }
     }
 
     /// Scanner-facing summary; available once established.
     pub fn summary(&self) -> Result<HandshakeSummary, TlsError> {
-        if !self.common.is_established() {
+        let State::Established { suite, master } = self.side.state else {
             return Err(TlsError::NotReady);
-        }
-        let suite = self.common.suite.expect("established");
+        };
         Ok(HandshakeSummary {
             resumed: self.side.resumed,
             cipher_suite: suite,
@@ -235,7 +262,7 @@ impl ClientConn {
             chain_der: self.side.chain_der.clone(),
             trust: self.side.trust.clone(),
             session: SessionState {
-                master_secret: self.common.master.expect("established"),
+                master_secret: master,
                 cipher_suite: suite,
                 established_at: self.side.resumed_original_time(),
                 server_name: self.side.config.server_name.clone(),
@@ -246,54 +273,22 @@ impl ClientConn {
 
 impl ClientSide {
     fn resumed_original_time(&self) -> u64 {
-        match self.resumed {
-            Some(ResumeKind::SessionId) => self
-                .config
-                .resumption
-                .session
-                .as_ref()
-                .map(|(_, s)| s.established_at)
-                .unwrap_or(self.config.now),
-            Some(ResumeKind::Ticket) => self
-                .offered_ticket_state
-                .as_ref()
-                .map(|s| s.established_at)
-                .unwrap_or(self.config.now),
-            None => self.config.now,
-        }
-    }
-
-    /// Derive abbreviated-handshake keys from the stored session state and
-    /// activate the read direction.
-    fn begin_abbreviated_keys(&mut self, common: &mut ConnectionCommon) -> Result<(), TlsError> {
-        if common.master.is_none() {
-            // Ticket-based resumption: the server signalled acceptance.
-            let state = self
-                .offered_ticket_state
-                .as_ref()
-                .ok_or(TlsError::UnexpectedMessage {
-                    expected: "Certificate (no resumption offered)",
-                    got: "abbreviated handshake",
-                })?;
-            if state.cipher_suite != common.suite.expect("suite set") {
-                return Err(TlsError::Decode("resumed suite mismatch"));
-            }
-            common.master = Some(state.master_secret);
-            self.resumed = Some(ResumeKind::Ticket);
-        }
-        let master = common.master.expect("set above");
-        let suite = common.suite.expect("suite set");
-        let keys = key_block(&master, &common.client_random, &common.server_random, suite);
-        common.records.set_read_keys(keys.server_write.clone());
-        common.pending_keys = Some(keys);
-        Ok(())
+        let offer = &self.config.resumption;
+        let resumed = match self.resumed {
+            Some(ResumeKind::SessionId) => &offer.session,
+            Some(ResumeKind::Ticket) => &offer.ticket,
+            None => return self.config.now,
+        };
+        resumed
+            .as_ref()
+            .map_or(self.config.now, |(_, s)| s.established_at)
     }
 
     fn on_server_hello(
         &mut self,
         common: &mut ConnectionCommon,
         sh: ServerHello,
-    ) -> Result<(), TlsError> {
+    ) -> Result<State, TlsError> {
         let suite = CipherSuite::from_id(sh.cipher_suite)
             .ok_or(TlsError::Decode("server chose unknown suite"))?;
         if !self.config.suites.contains(&suite) {
@@ -301,73 +296,82 @@ impl ClientSide {
         }
         common.suite = Some(suite);
         common.server_random = sh.random;
-        self.server_session_id = sh.session_id.clone();
-
-        if !self.offered_session_id.is_empty() && sh.session_id == self.offered_session_id {
+        self.server_session_id = sh.session_id;
+        match &self.config.resumption.session {
             // Session-ID resumption accepted.
-            let state = self
-                .config
-                .resumption
-                .session
-                .as_ref()
-                .map(|(_, s)| s.clone())
-                .expect("offered id implies stored state");
-            if state.cipher_suite != suite {
-                return Err(TlsError::Decode("resumed suite mismatch"));
+            Some((id, state)) if !id.is_empty() && *id == self.server_session_id => {
+                let (keys, read) = resume(common, suite, state)?;
+                self.resumed = Some(ResumeKind::SessionId);
+                Ok(State::AwaitTicketOrCcs { keys, read })
             }
-            common.master = Some(state.master_secret);
-            self.resumed = Some(ResumeKind::SessionId);
-            self.state = State::AwaitCcsAbbrev;
-        } else {
-            self.state = State::AwaitServerFlight;
+            _ => Ok(State::AwaitServerFlight { suite }),
         }
-        Ok(())
+    }
+
+    /// `got` (a NewSessionTicket or CCS in place of a Certificate) says
+    /// that the server accepted the offered ticket: resume its session.
+    fn accept_ticket(
+        &mut self,
+        common: &mut ConnectionCommon,
+        suite: CipherSuite,
+        got: &'static str,
+    ) -> Result<(Keyed, DirectionKeys), TlsError> {
+        let unoffered = TlsError::UnexpectedMessage {
+            expected: "Certificate",
+            got,
+        };
+        let (_, state) = self.config.resumption.ticket.as_ref().ok_or(unoffered)?;
+        let keyed = resume(common, suite, state)?;
+        self.resumed = Some(ResumeKind::Ticket);
+        Ok(keyed)
     }
 
     fn on_certificate(
         &mut self,
-        _common: &mut ConnectionCommon,
+        suite: CipherSuite,
         msg: CertificateMsg,
-    ) -> Result<(), TlsError> {
-        self.chain_der = msg.chain.clone();
+    ) -> Result<State, TlsError> {
         let mut parsed = Vec::with_capacity(msg.chain.len());
         for der in &msg.chain {
             parsed.push(
                 Certificate::parse(der).map_err(|_| TlsError::Decode("unparseable certificate"))?,
             );
         }
-        let verdict =
+        self.chain_der = msg.chain;
+        let trust =
             self.config
                 .root_store
                 .validate(&parsed, &self.config.server_name, self.config.now);
-        self.leaf = parsed.into_iter().next();
-        let failed = verdict.is_err();
-        self.trust = Some(verdict.clone());
-        if self.config.verify_certs && failed {
-            return Err(TlsError::Trust(verdict.expect_err("checked")));
+        if let (true, Err(e)) = (self.config.verify_certs, &trust) {
+            return Err(TlsError::Trust(e.clone()));
         }
-        if self.leaf.is_none() {
-            return Err(TlsError::Decode("empty certificate chain"));
-        }
-        self.state = State::AwaitServerKexOrDone;
-        Ok(())
+        let leaf = parsed
+            .into_iter()
+            .next()
+            .ok_or(TlsError::Decode("empty certificate chain"))?;
+        let flight = ServerFlight {
+            cipher_suite: suite,
+            trust,
+            server_kex_public: None,
+        };
+        Ok(State::AwaitServerKexOrDone { leaf, flight })
     }
 
     fn on_server_kex(
         &mut self,
         common: &mut ConnectionCommon,
+        leaf: Certificate,
+        mut flight: ServerFlight,
         ske: ServerKeyExchange,
-    ) -> Result<(), TlsError> {
-        let suite = common.suite.expect("suite set");
+    ) -> Result<State, TlsError> {
         // Signature check against the leaf key.
-        let leaf = self.leaf.as_ref().expect("certificate processed");
         let signed = kex_signed_content(&common.client_random, &common.server_random, &ske.params);
         leaf.public_key
             .verify(&signed, &ske.signature)
             .map_err(TlsError::from)?;
         // Check the public value here, so that a probe refuses every
         // flight the full handshake refuses.
-        let peer = match (&ske.params, suite.key_exchange()) {
+        let peer = match (&ske.params, flight.cipher_suite.key_exchange()) {
             (ServerKexParams::Dhe { p, ys, .. }, KeyExchange::Dhe) => {
                 // Identify the group by its prime (we only accept named
                 // groups — freeform parameters would need subgroup checks).
@@ -393,103 +397,88 @@ impl ClientSide {
             }
             _ => return Err(TlsError::Decode("kex params do not match suite")),
         };
-        self.peer_kex = Some(peer);
-        self.server_kex_public = Some(ske.params.public_value().to_vec());
-        Ok(())
+        flight.server_kex_public = Some(ske.params.public_value().to_vec());
+        Ok(State::AwaitServerHelloDone { peer, flight })
     }
 
-    fn on_server_hello_done(&mut self, common: &mut ConnectionCommon) -> Result<(), TlsError> {
-        let suite = common.suite.expect("suite set");
-        if suite.key_exchange() != KeyExchange::Rsa && self.peer_kex.is_none() {
-            return Err(TlsError::Decode("missing ServerKeyExchange"));
-        }
+    fn on_server_hello_done(
+        &mut self,
+        common: &mut ConnectionCommon,
+        peer: PeerKex,
+        flight: ServerFlight,
+    ) -> Result<State, TlsError> {
         if self.probe {
             // Everything the flight can tell is final: stop before any
             // key is generated.
-            self.state = State::FlightVerified;
-            return Ok(());
+            return Ok(State::FlightVerified(flight));
         }
-        let premaster: Vec<u8>;
-        // on_server_kex matched the value to the suite's key exchange.
-        let cke = match &self.peer_kex {
-            None => {
+        let suite = flight.cipher_suite;
+        self.trust = Some(flight.trust);
+        self.server_kex_public = flight.server_kex_public;
+        let (premaster, cke) = match peer {
+            PeerKex::Rsa(key) => {
                 let mut pm = vec![0u8; 48];
                 self.rng.fill_bytes(&mut pm);
                 pm[0] = 3;
                 pm[1] = 3;
-                let leaf = self.leaf.as_ref().expect("certificate processed");
-                let ct = leaf.public_key.encrypt(&pm, &mut self.rng)?;
-                premaster = pm;
-                ClientKeyExchange::Rsa {
-                    encrypted_premaster: ct,
-                }
+                let encrypted_premaster = key.encrypt(&pm, &mut self.rng)?;
+                (
+                    pm,
+                    ClientKeyExchange::Rsa {
+                        encrypted_premaster,
+                    },
+                )
             }
-            Some(PeerKex::Dhe { group, ys }) => {
-                let kp = DhKeyPair::generate(*group, &mut self.rng);
-                premaster = kp.shared_secret(ys)?;
-                ClientKeyExchange::Dhe {
-                    yc: kp.public_bytes(),
-                }
+            PeerKex::Dhe { group, ys } => {
+                let kp = DhKeyPair::generate(group, &mut self.rng);
+                let yc = kp.public_bytes();
+                (kp.shared_secret(&ys)?, ClientKeyExchange::Dhe { yc })
             }
-            Some(PeerKex::Ecdhe(point)) => {
+            PeerKex::Ecdhe(point) => {
                 let kp = X25519KeyPair::generate(&mut self.rng);
-                premaster = kp.shared_secret(point)?.to_vec();
-                ClientKeyExchange::Ecdhe {
-                    point: kp.public.to_vec(),
-                }
+                let premaster = kp.shared_secret(&point)?.to_vec();
+                let point = kp.public.to_vec();
+                (premaster, ClientKeyExchange::Ecdhe { point })
             }
         };
         common.send_handshake(&HandshakeMessage::ClientKeyExchange(cke));
         let master = master_secret(&premaster, &common.client_random, &common.server_random);
         common.master = Some(master);
-        let keys = key_block(&master, &common.client_random, &common.server_random, suite);
-        common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-        common.records.set_write_keys(keys.client_write.clone());
-        let vd = verify_data(&master, &common.transcript.hash(), true);
-        common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
-        common.pending_keys = Some(keys);
-        self.state = State::AwaitNstOrCcsFull;
-        Ok(())
+        let ConnectionKeys {
+            client_write,
+            server_write,
+        } = key_block(&master, &common.client_random, &common.server_random, suite);
+        common.send_finished(client_write, &master, true);
+        Ok(State::AwaitTicketOrCcs {
+            keys: Keyed {
+                suite,
+                master,
+                reply: None,
+            },
+            read: server_write,
+        })
     }
+}
 
-    fn on_server_finished(
-        &mut self,
-        common: &mut ConnectionCommon,
-        f: Finished,
-    ) -> Result<(), TlsError> {
-        let master = common.master.expect("master derived");
-        let expected = verify_data(&master, &common.transcript.hash(), false);
-        if !ts_crypto::ct::ct_eq(&expected, &f.verify_data) {
-            return Err(TlsError::BadFinished);
-        }
-        common
-            .transcript
-            .add(&HandshakeMessage::Finished(f).encode());
-        match self.state {
-            State::AwaitFinishedFull => {
-                self.state = State::Established;
-                common.status = Status::Established;
-                Ok(())
-            }
-            State::AwaitFinishedAbbrev => {
-                // Our turn: CCS + client Finished.
-                let client_write = common
-                    .pending_keys
-                    .as_ref()
-                    .expect("keys derived")
-                    .client_write
-                    .clone();
-                common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-                common.records.set_write_keys(client_write);
-                let vd = verify_data(&master, &common.transcript.hash(), true);
-                common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
-                self.state = State::Established;
-                common.status = Status::Established;
-                Ok(())
-            }
-            _ => unreachable!("guarded by caller"),
-        }
+/// Keys for an abbreviated handshake that resumes `state`: the server's
+/// half is read after its CCS, ours replies to its Finished.
+fn resume(
+    common: &mut ConnectionCommon,
+    suite: CipherSuite,
+    state: &SessionState,
+) -> Result<(Keyed, DirectionKeys), TlsError> {
+    if state.cipher_suite != suite {
+        return Err(TlsError::Decode("resumed suite mismatch"));
     }
+    let master = state.master_secret;
+    common.master = Some(master);
+    let keys = key_block(&master, &common.client_random, &common.server_random, suite);
+    let keyed = Keyed {
+        suite,
+        master,
+        reply: Some(keys.client_write),
+    };
+    Ok((keyed, keys.server_write))
 }
 
 impl Side for ClientSide {
@@ -498,71 +487,59 @@ impl Side for ClientSide {
         common: &mut ConnectionCommon,
         msg: HandshakeMessage,
     ) -> Result<(), TlsError> {
-        match (self.state, msg) {
-            (State::AwaitServerHello, HandshakeMessage::ServerHello(sh)) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::ServerHello(sh.clone()).encode());
-                self.on_server_hello(common, sh)
-            }
-            (State::AwaitServerFlight, HandshakeMessage::Certificate(c)) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::Certificate(c.clone()).encode());
-                self.on_certificate(common, c)
-            }
-            (
-                State::AwaitServerFlight | State::AwaitCcsAbbrev,
-                HandshakeMessage::NewSessionTicket(nst),
-            ) => {
-                // Ticket reissue during abbreviated handshake.
-                common
-                    .transcript
-                    .add(&HandshakeMessage::NewSessionTicket(nst.clone()).encode());
-                if self.resumed.is_none() {
-                    // NST before CCS signals ticket acceptance.
-                    self.resumed = Some(ResumeKind::Ticket);
-                    let state =
-                        self.offered_ticket_state
-                            .as_ref()
-                            .ok_or(TlsError::UnexpectedMessage {
-                                expected: "Certificate",
-                                got: "NewSessionTicket",
-                            })?;
-                    common.master = Some(state.master_secret);
-                }
-                self.new_ticket = Some(nst);
-                self.state = State::AwaitCcsAbbrev;
-                Ok(())
-            }
-            (State::AwaitServerKexOrDone, HandshakeMessage::ServerKeyExchange(ske)) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::ServerKeyExchange(ske.clone()).encode());
-                self.on_server_kex(common, ske)
-            }
-            (State::AwaitServerKexOrDone, HandshakeMessage::ServerHelloDone) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::ServerHelloDone.encode());
-                self.on_server_hello_done(common)
-            }
-            (State::AwaitNstOrCcsFull, HandshakeMessage::NewSessionTicket(nst)) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::NewSessionTicket(nst.clone()).encode());
-                self.new_ticket = Some(nst);
-                Ok(())
-            }
-            (
-                State::AwaitFinishedFull | State::AwaitFinishedAbbrev,
-                HandshakeMessage::Finished(f),
-            ) => self.on_server_finished(common, f),
-            (_, other) => Err(TlsError::UnexpectedMessage {
-                expected: state_expectation(self.state),
-                got: other.name(),
-            }),
+        // A Finished is transcribed once it is checked.
+        if !matches!(msg, HandshakeMessage::Finished(_)) {
+            common.transcript.add(&msg.encode());
         }
+        self.state = match (std::mem::replace(&mut self.state, State::Failed), msg) {
+            (State::AwaitServerHello, HandshakeMessage::ServerHello(sh)) => {
+                self.on_server_hello(common, sh)?
+            }
+            (State::AwaitServerFlight { suite }, HandshakeMessage::Certificate(c)) => {
+                self.on_certificate(suite, c)?
+            }
+            (State::AwaitServerFlight { suite }, HandshakeMessage::NewSessionTicket(nst)) => {
+                let (keys, read) = self.accept_ticket(common, suite, "NewSessionTicket")?;
+                self.new_ticket = Some(nst);
+                State::AwaitCcs { keys, read }
+            }
+            (
+                State::AwaitServerKexOrDone { leaf, flight },
+                HandshakeMessage::ServerKeyExchange(ske),
+            ) => self.on_server_kex(common, leaf, flight, ske)?,
+            (State::AwaitServerKexOrDone { leaf, flight }, HandshakeMessage::ServerHelloDone) => {
+                if flight.cipher_suite.key_exchange() != KeyExchange::Rsa {
+                    return Err(TlsError::Decode("missing ServerKeyExchange"));
+                }
+                self.on_server_hello_done(common, PeerKex::Rsa(leaf.public_key), flight)?
+            }
+            (State::AwaitServerHelloDone { peer, flight }, HandshakeMessage::ServerHelloDone) => {
+                self.on_server_hello_done(common, peer, flight)?
+            }
+            (State::AwaitTicketOrCcs { keys, read }, HandshakeMessage::NewSessionTicket(nst)) => {
+                self.new_ticket = Some(nst);
+                State::AwaitCcs { keys, read }
+            }
+            (State::AwaitFinished(keys), HandshakeMessage::Finished(f)) => {
+                common.check_finished(&keys.master, f, false)?;
+                if let Some(client_write) = keys.reply {
+                    // Abbreviated handshake: our CCS and Finished follow.
+                    common.send_finished(client_write, &keys.master, true);
+                }
+                common.status = Status::Established;
+                State::Established {
+                    suite: keys.suite,
+                    master: keys.master,
+                }
+            }
+            (state, other) => {
+                return Err(TlsError::UnexpectedMessage {
+                    expected: state.expects(),
+                    got: other.name(),
+                })
+            }
+        };
+        Ok(())
     }
 
     fn on_peer_ccs(
@@ -573,42 +550,25 @@ impl Side for ClientSide {
         if payload != [1] {
             return Err(TlsError::Decode("bad ChangeCipherSpec"));
         }
-        match self.state {
-            State::AwaitServerFlight | State::AwaitCcsAbbrev => {
-                // Abbreviated handshake: server went straight to CCS.
-                self.begin_abbreviated_keys(common)?;
-                self.state = State::AwaitFinishedAbbrev;
-                Ok(())
+        let (keys, read) = match std::mem::replace(&mut self.state, State::Failed) {
+            // The server accepted a ticket and reissued none.
+            State::AwaitServerFlight { suite } => {
+                self.accept_ticket(common, suite, "ChangeCipherSpec")?
             }
-            State::AwaitNstOrCcsFull => {
-                let keys = common.pending_keys.as_ref().expect("keys derived");
-                common.records.set_read_keys(keys.server_write.clone());
-                self.state = State::AwaitFinishedFull;
-                Ok(())
+            State::AwaitTicketOrCcs { keys, read } | State::AwaitCcs { keys, read } => (keys, read),
+            state => {
+                return Err(TlsError::UnexpectedMessage {
+                    expected: state.expects(),
+                    got: "ChangeCipherSpec",
+                })
             }
-            _ => Err(TlsError::UnexpectedMessage {
-                expected: state_expectation(self.state),
-                got: "ChangeCipherSpec",
-            }),
-        }
+        };
+        common.records.set_read_keys(read);
+        self.state = State::AwaitFinished(keys);
+        Ok(())
     }
 
     fn set_failed(&mut self) {
         self.state = State::Failed;
-    }
-}
-
-fn state_expectation(state: State) -> &'static str {
-    match state {
-        State::AwaitServerHello => "ServerHello",
-        State::AwaitServerFlight => "Certificate or abbreviated handshake",
-        State::AwaitServerKexOrDone => "ServerKeyExchange or ServerHelloDone",
-        State::AwaitCcsAbbrev => "ChangeCipherSpec (abbreviated)",
-        State::AwaitFinishedAbbrev => "Finished (abbreviated)",
-        State::AwaitNstOrCcsFull => "NewSessionTicket or ChangeCipherSpec",
-        State::AwaitFinishedFull => "Finished",
-        State::Established => "ApplicationData",
-        State::FlightVerified => "nothing (probe stopped)",
-        State::Failed => "nothing (failed)",
     }
 }

@@ -98,8 +98,9 @@ pub struct ClientConfig {
     pub offer_ticket_support: bool,
     /// Resumption material from a previous connection.
     pub resumption: ResumptionOffer,
-    /// Validate the server chain? The scanner keeps this on and records
-    /// failures; disabling models a permissive probe.
+    /// Abort the handshake when the server chain fails validation? The
+    /// verdict is recorded either way; the scanner turns this off, so that
+    /// it records trust failures instead of aborting.
     pub verify_certs: bool,
     /// Virtual time used for certificate validation.
     pub now: u64,

@@ -17,10 +17,10 @@
 
 use crate::alert::{Alert, AlertDescription};
 use crate::error::TlsError;
-use crate::keys::{ConnectionKeys, Transcript};
+use crate::keys::{verify_data, Transcript, MASTER_SECRET_LEN};
 use crate::suites::CipherSuite;
-use crate::wire::handshake::{HandshakeMessage, HandshakeReassembler};
-use crate::wire::record::{ContentType, RecordLayer};
+use crate::wire::handshake::{Finished, HandshakeMessage, HandshakeReassembler};
+use crate::wire::record::{ContentType, DirectionKeys, RecordLayer};
 use std::io;
 
 /// What a `process_new_packets()` step left behind for the caller.
@@ -47,13 +47,14 @@ pub(crate) enum Status {
 }
 
 /// State common to both connection roles: record layer, reassembly,
-/// transcript, the persistent outgoing buffer, and the keying material
-/// both sides derive.
+/// transcript, the persistent outgoing buffer, and the white-box record
+/// of the master secret. Each side's handshake state owns the keys it has
+/// not yet handed to the record layer.
 ///
 /// Declared `lifetime(connection)`: everything secret in here (master
-/// secret, pending key block, decrypted plaintext) dies with the
-/// connection — this struct is the yardstick the longer-lived caches are
-/// measured against.
+/// secret, record keys, decrypted plaintext) dies with the connection —
+/// this struct is the yardstick the longer-lived caches are measured
+/// against.
 // ctlint: lifetime(connection)
 pub struct ConnectionCommon {
     pub(crate) records: RecordLayer,
@@ -65,15 +66,27 @@ pub struct ConnectionCommon {
     out: Vec<u8>,
     out_pos: usize,
     pub(crate) status: Status,
+    /// The negotiated suite, which the reassembler needs to decode key
+    /// exchange messages. The state machines carry their own copy.
     pub(crate) suite: Option<CipherSuite>,
     // Randoms travel cleartext in the hellos.
     // ctlint: public
     pub(crate) client_random: [u8; 32],
     // ctlint: public
     pub(crate) server_random: [u8; 32],
-    pub(crate) master: Option<[u8; 48]>,
-    pub(crate) pending_keys: Option<ConnectionKeys>,
+    /// Written once the master secret exists, for [`Self::master_secret`];
+    /// the state machines never read it back.
+    pub(crate) master: Option<[u8; MASTER_SECRET_LEN]>,
     pub(crate) app_in: Vec<u8>,
+}
+
+/// A handshake past its master secret, up to the peer's Finished.
+pub(crate) struct Keyed {
+    pub(crate) suite: CipherSuite,
+    pub(crate) master: [u8; MASTER_SECRET_LEN],
+    /// Our write keys while our ChangeCipherSpec and Finished wait for the
+    /// peer's Finished; `None` once they are sent.
+    pub(crate) reply: Option<DirectionKeys>,
 }
 
 impl ConnectionCommon {
@@ -81,7 +94,7 @@ impl ConnectionCommon {
         ConnectionCommon {
             records: RecordLayer::new(),
             reasm: HandshakeReassembler::new(),
-            transcript: Transcript::new(),
+            transcript: Transcript::default(),
             out: Vec::new(),
             out_pos: 0,
             status: Status::Handshaking,
@@ -89,7 +102,6 @@ impl ConnectionCommon {
             client_random: [0; 32],
             server_random: [0; 32],
             master: None,
-            pending_keys: None,
             app_in: Vec::new(),
         }
     }
@@ -183,6 +195,35 @@ impl ConnectionCommon {
         self.queue_record(ContentType::Handshake, &encoded);
     }
 
+    /// Check the peer's Finished against the transcript, then transcribe it.
+    pub(crate) fn check_finished(
+        &mut self,
+        master: &[u8; MASTER_SECRET_LEN],
+        f: Finished,
+        from_client: bool,
+    ) -> Result<(), TlsError> {
+        let expected = verify_data(master, &self.transcript.hash(), from_client);
+        if !ts_crypto::ct::ct_eq(&expected, &f.verify_data) {
+            return Err(TlsError::BadFinished);
+        }
+        self.transcript.add(&HandshakeMessage::Finished(f).encode());
+        Ok(())
+    }
+
+    /// Queue our ChangeCipherSpec, move `write` into the record layer and
+    /// send our Finished under it.
+    pub(crate) fn send_finished(
+        &mut self,
+        write: DirectionKeys,
+        master: &[u8; MASTER_SECRET_LEN],
+        from_client: bool,
+    ) {
+        self.queue_record(ContentType::ChangeCipherSpec, &[1]);
+        self.records.set_write_keys(write);
+        let vd = verify_data(master, &self.transcript.hash(), from_client);
+        self.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
+    }
+
     pub(crate) fn io_state(&self) -> IoState {
         IoState {
             tls_bytes_to_write: self.out.len() - self.out_pos,
@@ -194,7 +235,8 @@ impl ConnectionCommon {
 }
 
 /// The role-specific half of a connection: interprets whole handshake
-/// messages and CCS records against its own protocol state.
+/// messages and CCS records against its own protocol state. A message the
+/// current state does not name fails with `UnexpectedMessage`.
 pub(crate) trait Side {
     /// Handle one reassembled handshake message.
     fn handle_handshake(

@@ -27,7 +27,8 @@ pub fn master_secret(
 ///
 /// No `Drop` impl of its own: both [`DirectionKeys`] fields wipe themselves
 /// on drop, and leaving `ConnectionKeys` free of `Drop` keeps its fields
-/// movable (the handshake layers clone directions into the record layer).
+/// movable (each handshake side moves a direction into the record layer
+/// when it switches that direction on).
 // ctlint: secret
 pub struct ConnectionKeys {
     /// Keys for data the client writes.
@@ -88,31 +89,22 @@ pub fn key_block(
     keys
 }
 
-/// A running transcript hash of all handshake messages.
+/// A running transcript hash of all handshake messages; `default()`
+/// starts an empty one.
 #[derive(Clone, Default)]
 pub struct Transcript {
-    hasher: Option<Sha256>,
+    hasher: Sha256,
 }
 
 impl Transcript {
-    /// Start an empty transcript.
-    pub fn new() -> Self {
-        Transcript {
-            hasher: Some(Sha256::new()),
-        }
-    }
-
     /// Absorb an encoded handshake message (header included).
     pub fn add(&mut self, encoded: &[u8]) {
-        self.hasher
-            .as_mut()
-            .expect("transcript in use")
-            .update(encoded);
+        self.hasher.update(encoded);
     }
 
     /// Current hash (non-destructive).
     pub fn hash(&self) -> [u8; 32] {
-        self.hasher.clone().expect("transcript in use").finish()
+        self.hasher.clone().finish()
     }
 }
 
@@ -133,6 +125,7 @@ pub fn verify_data(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_crypto::sha256::sha256;
 
     #[test]
     fn master_secret_is_48_bytes_and_deterministic() {
@@ -210,10 +203,10 @@ mod tests {
 
     #[test]
     fn transcript_order_sensitivity() {
-        let mut t1 = Transcript::new();
+        let mut t1 = Transcript::default();
         t1.add(b"aaa");
         t1.add(b"bbb");
-        let mut t2 = Transcript::new();
+        let mut t2 = Transcript::default();
         t2.add(b"bbb");
         t2.add(b"aaa");
         assert_ne!(t1.hash(), t2.hash());
@@ -222,6 +215,15 @@ mod tests {
         assert_eq!(t1.hash(), h);
         t1.add(b"c");
         assert_ne!(t1.hash(), h);
+    }
+
+    #[test]
+    fn default_transcript_hashes_like_sha256() {
+        let mut t = Transcript::default();
+        assert_eq!(t.hash(), sha256(b""));
+        t.add(b"client hello");
+        t.add(b"server hello");
+        assert_eq!(t.hash(), sha256(b"client helloserver hello"));
     }
 
     #[test]

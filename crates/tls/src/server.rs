@@ -13,18 +13,18 @@
 
 use crate::alert::AlertDescription;
 use crate::config::ServerConfig;
-use crate::conn::{self, ConnectionCommon, IoState, Side, Status};
+use crate::conn::{self, ConnectionCommon, IoState, Keyed, Side, Status};
 use crate::error::TlsError;
-use crate::keys::{key_block, master_secret, verify_data};
+use crate::keys::{key_block, master_secret, ConnectionKeys};
 use crate::session::SessionState;
 use crate::suites::{CipherSuite, KeyExchange};
 use crate::ticket::PinnedStekSet;
 use crate::wire::extensions::{find_server_name, find_session_ticket, Extension};
 use crate::wire::handshake::{
-    CertificateMsg, ClientHello, ClientKeyExchange, Finished, HandshakeMessage, NewSessionTicket,
+    CertificateMsg, ClientHello, ClientKeyExchange, HandshakeMessage, NewSessionTicket,
     ServerHello, ServerKexParams, ServerKeyExchange,
 };
-use crate::wire::record::ContentType;
+use crate::wire::record::DirectionKeys;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use ts_crypto::bignum::Ub;
@@ -51,18 +51,46 @@ pub enum ResumeKind {
     Ticket,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the server's handshake stands. Each variant owns what the next
+/// step needs, and a step moves it into the variant that follows.
 enum State {
     AwaitClientHello,
-    AwaitClientKex,
-    AwaitCcs,
-    AwaitFinished,
+    AwaitClientKex {
+        suite: CipherSuite,
+        key_pair: KeyPair,
+    },
+    /// The client's CCS makes its write keys `read` protect what we read.
+    AwaitCcs {
+        keys: Keyed,
+        read: DirectionKeys,
+    },
+    AwaitFinished(Keyed),
     Established,
     Failed,
 }
 
+impl State {
+    fn expects(&self) -> &'static str {
+        match self {
+            State::AwaitClientHello => "ClientHello",
+            State::AwaitClientKex { .. } => "ClientKeyExchange",
+            State::AwaitCcs { .. } => "ChangeCipherSpec",
+            State::AwaitFinished(_) => "Finished",
+            State::Established => "ApplicationData",
+            State::Failed => "nothing (failed)",
+        }
+    }
+}
+
+/// The server's half of a full handshake's key exchange.
+enum KeyPair {
+    Rsa,
+    Dhe(Arc<DhKeyPair>),
+    Ecdhe(Arc<X25519KeyPair>),
+}
+
 /// The server's protocol half: resumption decisions, flight assembly,
-/// ticket issuance. Keying material lives in [`ConnectionCommon`].
+/// ticket issuance, and the handshake state.
 struct ServerSide {
     config: ServerConfig,
     rng: HmacDrbg,
@@ -71,9 +99,6 @@ struct ServerSide {
     // ctlint: public
     session_id: Vec<u8>,
     resumed: Option<ResumeKind>,
-    resumed_established_at: u64,
-    dhe_kp: Option<Arc<DhKeyPair>>,
-    ecdhe_kp: Option<Arc<X25519KeyPair>>,
     sni: String,
     client_offered_ticket_ext: bool,
     // Epoch-pinned STEK snapshot: ticket decryption without the shared
@@ -112,9 +137,6 @@ impl ServerConn {
                 state: State::AwaitClientHello,
                 session_id: Vec::new(),
                 resumed: None,
-                resumed_established_at: 0,
-                dhe_kp: None,
-                ecdhe_kp: None,
                 sni: String::new(),
                 client_offered_ticket_ext: false,
                 stek_pin: None,
@@ -132,22 +154,6 @@ impl ServerConn {
     pub fn resumed(&self) -> Option<ResumeKind> {
         self.side.resumed
     }
-
-    /// The negotiated suite (after ServerHello).
-    pub fn cipher_suite(&self) -> Option<CipherSuite> {
-        self.common.suite
-    }
-
-    /// The SNI hostname the client sent.
-    pub fn sni(&self) -> &str {
-        &self.side.sni
-    }
-
-    /// For resumed connections, when the original session was established
-    /// (the anchor of the ticket acceptance window).
-    pub fn resumed_original_establishment(&self) -> Option<u64> {
-        self.side.resumed.map(|_| self.side.resumed_established_at)
-    }
 }
 
 impl ServerSide {
@@ -155,7 +161,7 @@ impl ServerSide {
         &mut self,
         common: &mut ConnectionCommon,
         ch: ClientHello,
-    ) -> Result<(), TlsError> {
+    ) -> Result<State, TlsError> {
         common.client_random = ch.random;
         self.rng.fill_bytes(&mut common.server_random);
         self.sni = find_server_name(&ch.extensions).unwrap_or("").to_string();
@@ -188,7 +194,7 @@ impl ServerSide {
                     Some(state) => {
                         RESUME_TICKET_HIT.inc();
                         emit(Event::ResumptionHit { kind: "ticket" });
-                        return self.resume(common, state, ResumeKind::Ticket, Vec::new());
+                        return Ok(self.resume(common, state, ResumeKind::Ticket, Vec::new()));
                     }
                     None => {
                         RESUME_TICKET_MISS.inc();
@@ -209,8 +215,8 @@ impl ServerSide {
                     Some(state) => {
                         RESUME_SID_HIT.inc();
                         emit(Event::ResumptionHit { kind: "session-id" });
-                        let sid = ch.session_id.clone();
-                        return self.resume(common, state, ResumeKind::SessionId, sid);
+                        let sid = ch.session_id;
+                        return Ok(self.resume(common, state, ResumeKind::SessionId, sid));
                     }
                     None => {
                         RESUME_SID_MISS.inc();
@@ -259,8 +265,8 @@ impl ServerSide {
             .collect();
         common.send_handshake(&HandshakeMessage::Certificate(CertificateMsg { chain }));
 
-        match suite.key_exchange() {
-            KeyExchange::Rsa => {}
+        let key_pair = match suite.key_exchange() {
+            KeyExchange::Rsa => KeyPair::Rsa,
             KeyExchange::Dhe => {
                 let kp = self.config.ephemeral.dhe_keypair(self.now);
                 let group = kp.group;
@@ -269,28 +275,25 @@ impl ServerSide {
                     g: group.generator().to_bytes_be(),
                     ys: kp.public_bytes(),
                 };
-                let ske = self.signed_kex(common, params)?;
-                self.dhe_kp = Some(kp);
-                common.send_handshake(&ske);
+                common.send_handshake(&self.signed_kex(common, params)?);
+                KeyPair::Dhe(kp)
             }
             KeyExchange::Ecdhe => {
                 let kp = self.config.ephemeral.ecdhe_keypair(self.now);
                 let params = ServerKexParams::Ecdhe {
                     point: kp.public.to_vec(),
                 };
-                let ske = self.signed_kex(common, params)?;
-                self.ecdhe_kp = Some(kp);
-                common.send_handshake(&ske);
+                common.send_handshake(&self.signed_kex(common, params)?);
+                KeyPair::Ecdhe(kp)
             }
-        }
+        };
         common.send_handshake(&HandshakeMessage::ServerHelloDone);
-        self.state = State::AwaitClientKex;
-        Ok(())
+        Ok(State::AwaitClientKex { suite, key_pair })
     }
 
     /// Sign cr || sr || params and build the ServerKeyExchange message.
     fn signed_kex(
-        &mut self,
+        &self,
         common: &ConnectionCommon,
         params: ServerKexParams,
     ) -> Result<HandshakeMessage, TlsError> {
@@ -303,25 +306,29 @@ impl ServerSide {
         }))
     }
 
+    /// Send ServerHello, a reissued ticket if one is due, CCS and our
+    /// Finished: the server speaks first in an abbreviated handshake.
     fn resume(
         &mut self,
         common: &mut ConnectionCommon,
         state: SessionState,
         kind: ResumeKind,
         echo_session_id: Vec<u8>,
-    ) -> Result<(), TlsError> {
+    ) -> State {
         let suite = state.cipher_suite;
+        let master = state.master_secret;
         common.suite = Some(suite);
+        common.master = Some(master);
         self.resumed = Some(kind);
-        self.resumed_established_at = state.established_at;
-        common.master = Some(state.master_secret);
         self.session_id = echo_session_id;
 
-        let reissue = kind == ResumeKind::Ticket
-            && self.config.reissue_ticket_on_resumption
-            && self.config.tickets.is_some();
+        let reissue = self
+            .config
+            .tickets
+            .as_ref()
+            .filter(|_| kind == ResumeKind::Ticket && self.config.reissue_ticket_on_resumption);
         let mut extensions = Vec::new();
-        if reissue {
+        if reissue.is_some() {
             extensions.push(Extension::SessionTicket(Vec::new()));
         }
         let sh = HandshakeMessage::ServerHello(ServerHello {
@@ -332,10 +339,9 @@ impl ServerSide {
         });
         common.send_handshake(&sh);
 
-        if reissue {
+        if let Some(manager) = reissue {
             // Fresh ticket over the SAME session state (keys constant,
             // original establishment time preserved — §2.2).
-            let manager = self.config.tickets.as_ref().expect("checked").clone();
             let ticket = manager.issue(&state, self.now);
             TICKET_REISSUED.inc();
             emit(Event::TicketIssued {
@@ -348,27 +354,28 @@ impl ServerSide {
             }));
         }
 
-        let master = state.master_secret;
         let keys = key_block(&master, &common.client_random, &common.server_random, suite);
-        // Server speaks first in an abbreviated handshake.
-        common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-        common.records.set_write_keys(keys.server_write.clone());
-        let vd = verify_data(&master, &common.transcript.hash(), false);
-        common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
-        common.pending_keys = Some(keys);
-        self.state = State::AwaitCcs;
-        Ok(())
+        common.send_finished(keys.server_write, &master, false);
+        State::AwaitCcs {
+            keys: Keyed {
+                suite,
+                master,
+                reply: None,
+            },
+            read: keys.client_write,
+        }
     }
 
     fn on_client_kex(
         &mut self,
         common: &mut ConnectionCommon,
+        suite: CipherSuite,
+        key_pair: KeyPair,
         cke: ClientKeyExchange,
-    ) -> Result<(), TlsError> {
-        let suite = common.suite.expect("suite chosen");
-        let premaster: Vec<u8> = match (suite.key_exchange(), cke) {
+    ) -> Result<State, TlsError> {
+        let premaster: Vec<u8> = match (key_pair, cke) {
             (
-                KeyExchange::Rsa,
+                KeyPair::Rsa,
                 ClientKeyExchange::Rsa {
                     encrypted_premaster,
                 },
@@ -379,14 +386,12 @@ impl ServerSide {
                 }
                 pm
             }
-            (KeyExchange::Dhe, ClientKeyExchange::Dhe { yc }) => {
-                let kp = self.dhe_kp.as_ref().expect("DHE keypair generated");
+            (KeyPair::Dhe(kp), ClientKeyExchange::Dhe { yc }) => {
                 let y = Ub::from_bytes_be(&yc);
                 validate_public(kp.group, &y)?;
                 kp.shared_secret(&y)?
             }
-            (KeyExchange::Ecdhe, ClientKeyExchange::Ecdhe { point }) => {
-                let kp = self.ecdhe_kp.as_ref().expect("ECDHE keypair generated");
+            (KeyPair::Ecdhe(kp), ClientKeyExchange::Ecdhe { point }) => {
                 let point: [u8; 32] = point
                     .as_slice()
                     .try_into()
@@ -397,43 +402,26 @@ impl ServerSide {
         };
         let master = master_secret(&premaster, &common.client_random, &common.server_random);
         common.master = Some(master);
-        common.pending_keys = Some(key_block(
-            &master,
-            &common.client_random,
-            &common.server_random,
-            suite,
-        ));
-        self.state = State::AwaitCcs;
-        Ok(())
+        let ConnectionKeys {
+            client_write,
+            server_write,
+        } = key_block(&master, &common.client_random, &common.server_random, suite);
+        Ok(State::AwaitCcs {
+            keys: Keyed {
+                suite,
+                master,
+                reply: Some(server_write),
+            },
+            read: client_write,
+        })
     }
 
-    fn on_client_finished(
-        &mut self,
-        common: &mut ConnectionCommon,
-        f: Finished,
-    ) -> Result<(), TlsError> {
-        let master = common.master.expect("master derived");
-        let expected = verify_data(&master, &common.transcript.hash(), true);
-        if !ts_crypto::ct::ct_eq(&expected, &f.verify_data) {
-            return Err(TlsError::BadFinished);
-        }
-        common
-            .transcript
-            .add(&HandshakeMessage::Finished(f).encode());
-
-        if self.resumed.is_some() {
-            // Abbreviated handshake: we already sent our Finished.
-            self.state = State::Established;
-            common.status = Status::Established;
-            return Ok(());
-        }
-
-        // Full handshake tail: store session, maybe issue ticket, then
-        // CCS + Finished.
-        let suite = common.suite.expect("suite chosen");
+    /// The full handshake's tail after the client's Finished: store the
+    /// session and issue a ticket if the client supports them.
+    fn store_session(&self, common: &mut ConnectionCommon, keys: &Keyed) {
         let state = SessionState {
-            master_secret: master,
-            cipher_suite: suite,
+            master_secret: keys.master,
+            cipher_suite: keys.suite,
             established_at: self.now,
             server_name: self.sni.clone(),
         };
@@ -442,8 +430,12 @@ impl ServerSide {
                 cache.insert(&self.sni, self.session_id.clone(), state.clone(), self.now);
             }
         }
-        if self.config.tickets.is_some() && self.client_offered_ticket_ext {
-            let manager = self.config.tickets.as_ref().expect("checked").clone();
+        if let Some(manager) = self
+            .config
+            .tickets
+            .as_ref()
+            .filter(|_| self.client_offered_ticket_ext)
+        {
             let ticket = manager.issue(&state, self.now);
             TICKET_ISSUED.inc();
             emit(Event::TicketIssued {
@@ -455,19 +447,6 @@ impl ServerSide {
                 ticket,
             }));
         }
-        let server_write = common
-            .pending_keys
-            .as_ref()
-            .expect("keys derived")
-            .server_write
-            .clone();
-        common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-        common.records.set_write_keys(server_write);
-        let vd = verify_data(&master, &common.transcript.hash(), false);
-        common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
-        self.state = State::Established;
-        common.status = Status::Established;
-        Ok(())
     }
 }
 
@@ -477,27 +456,37 @@ impl Side for ServerSide {
         common: &mut ConnectionCommon,
         msg: HandshakeMessage,
     ) -> Result<(), TlsError> {
-        match (self.state, msg) {
-            (State::AwaitClientHello, HandshakeMessage::ClientHello(ch)) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::ClientHello(ch.clone()).encode());
-                self.on_client_hello(common, ch)
-            }
-            (State::AwaitClientKex, HandshakeMessage::ClientKeyExchange(cke)) => {
-                common
-                    .transcript
-                    .add(&HandshakeMessage::ClientKeyExchange(cke.clone()).encode());
-                self.on_client_kex(common, cke)
-            }
-            (State::AwaitFinished, HandshakeMessage::Finished(f)) => {
-                self.on_client_finished(common, f)
-            }
-            (_, other) => Err(TlsError::UnexpectedMessage {
-                expected: state_expectation(self.state),
-                got: other.name(),
-            }),
+        // A Finished is transcribed once it is checked.
+        if !matches!(msg, HandshakeMessage::Finished(_)) {
+            common.transcript.add(&msg.encode());
         }
+        self.state = match (std::mem::replace(&mut self.state, State::Failed), msg) {
+            (State::AwaitClientHello, HandshakeMessage::ClientHello(ch)) => {
+                self.on_client_hello(common, ch)?
+            }
+            (
+                State::AwaitClientKex { suite, key_pair },
+                HandshakeMessage::ClientKeyExchange(cke),
+            ) => self.on_client_kex(common, suite, key_pair, cke)?,
+            (State::AwaitFinished(mut keys), HandshakeMessage::Finished(f)) => {
+                common.check_finished(&keys.master, f, true)?;
+                // A full handshake's CCS and Finished follow the client's;
+                // an abbreviated one's went out with ServerHello.
+                if let Some(server_write) = keys.reply.take() {
+                    self.store_session(common, &keys);
+                    common.send_finished(server_write, &keys.master, false);
+                }
+                common.status = Status::Established;
+                State::Established
+            }
+            (state, other) => {
+                return Err(TlsError::UnexpectedMessage {
+                    expected: state.expects(),
+                    got: other.name(),
+                })
+            }
+        };
+        Ok(())
     }
 
     fn on_peer_ccs(
@@ -505,19 +494,17 @@ impl Side for ServerSide {
         common: &mut ConnectionCommon,
         payload: &[u8],
     ) -> Result<(), TlsError> {
-        if self.state != State::AwaitCcs || payload != [1] {
-            return Err(TlsError::UnexpectedMessage {
+        match std::mem::replace(&mut self.state, State::Failed) {
+            State::AwaitCcs { keys, read } if payload == [1] => {
+                common.records.set_read_keys(read);
+                self.state = State::AwaitFinished(keys);
+                Ok(())
+            }
+            _ => Err(TlsError::UnexpectedMessage {
                 expected: "orderly ChangeCipherSpec",
                 got: "ChangeCipherSpec",
-            });
+            }),
         }
-        let keys = common
-            .pending_keys
-            .as_ref()
-            .expect("keys derived before CCS");
-        common.records.set_read_keys(keys.client_write.clone());
-        self.state = State::AwaitFinished;
-        Ok(())
     }
 
     fn set_failed(&mut self) {
@@ -560,15 +547,4 @@ pub fn kex_signed_content(
         }
     }
     out
-}
-
-fn state_expectation(state: State) -> &'static str {
-    match state {
-        State::AwaitClientHello => "ClientHello",
-        State::AwaitClientKex => "ClientKeyExchange",
-        State::AwaitCcs => "ChangeCipherSpec",
-        State::AwaitFinished => "Finished",
-        State::Established => "ApplicationData",
-        State::Failed => "nothing (failed)",
-    }
 }

@@ -235,11 +235,6 @@ impl RecordLayer {
         self.read_seq = 0;
     }
 
-    /// True once write protection is active.
-    pub fn write_protected(&self) -> bool {
-        self.write_keys.is_some()
-    }
-
     /// Frame (and protect, if active) a payload into `out`, fragmenting at
     /// [`MAX_FRAGMENT_LEN`].
     pub fn write_record(&mut self, content_type: ContentType, payload: &[u8], out: &mut Vec<u8>) {

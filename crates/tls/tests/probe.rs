@@ -6,7 +6,8 @@
 //! handshake leaves them. Hostile flights are made here by rewriting a
 //! real server's first flight (and re-signing the ServerKeyExchange with
 //! the server's key, so that only the tampered field is wrong) before
-//! either kind of client reads it.
+//! either kind of client reads it: its fields, and its messages dropped,
+//! repeated or reordered. Both sides refuse any message out of order.
 
 use std::sync::Arc;
 use ts_crypto::bignum::Ub;
@@ -17,16 +18,17 @@ use ts_crypto::CryptoError;
 use ts_tls::config::{ClientConfig, ServerConfig, ServerIdentity};
 use ts_tls::ephemeral::{EphemeralCache, EphemeralPolicy};
 use ts_tls::pump::pump;
-use ts_tls::server::kex_signed_content;
+use ts_tls::server::{kex_signed_content, ResumeKind};
 use ts_tls::session::SessionState;
 use ts_tls::suites::CipherSuite;
 use ts_tls::ticket::{RotationPolicy, SharedStekManager, StekManager, TicketFormat};
-use ts_tls::wire::handshake::{HandshakeMessage, ServerKexParams};
+use ts_tls::wire::handshake::{ClientKeyExchange, HandshakeMessage, ServerKexParams};
 use ts_tls::wire::record::{ContentType, RecordLayer};
 use ts_tls::{ClientConn, ConnectionCommon, ServerConn, TlsError};
 use ts_x509::{Certificate, CertificateParams, DistinguishedName, RootStore, Validity};
 
 const HOST: &str = "probe.test.sim";
+const RSA: CipherSuite = CipherSuite::RsaAes128GcmSha256;
 const DHE: CipherSuite = CipherSuite::DheRsaAes128GcmSha256;
 const ECDHE: CipherSuite = CipherSuite::EcdheRsaAes128GcmSha256;
 
@@ -394,6 +396,178 @@ fn corrupted_ske_signature_is_refused() {
             },
         );
     }
+}
+
+/// A message-level rewrite of a server flight.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    Drop(usize),
+    /// Send the message twice in a row.
+    Repeat(usize),
+    /// Swap the message with the next one.
+    Swap(usize),
+}
+
+impl Mutation {
+    /// Every drop, repeat and neighbour swap of an `n`-message flight.
+    fn all(n: usize) -> impl Iterator<Item = Mutation> {
+        let drops = (0..n).map(Mutation::Drop);
+        let repeats = (0..n).map(Mutation::Repeat);
+        drops.chain(repeats).chain((0..n - 1).map(Mutation::Swap))
+    }
+
+    fn apply(self, flight: &mut Vec<HandshakeMessage>) {
+        match self {
+            Mutation::Drop(i) => {
+                flight.remove(i);
+            }
+            Mutation::Repeat(i) => flight.insert(i, flight[i].clone()),
+            Mutation::Swap(i) => flight.swap(i, i + 1),
+        }
+    }
+}
+
+#[test]
+fn dropped_repeated_and_swapped_flight_messages_are_refused() {
+    // ServerHello, Certificate, [ServerKeyExchange,] ServerHelloDone. A
+    // flight without its ServerHelloDone is not over yet, so both kinds
+    // wait for the rest of it; every other rewrite fails both.
+    let env = env();
+    let (mut cases, mut wrong) = (0, Vec::new());
+    for (suite, n) in [(RSA, 3), (DHE, 4), (ECDHE, 4)] {
+        for mutation in Mutation::all(n) {
+            let kinds = both_kinds(&env, suite, |flight, _| {
+                assert_eq!(flight.len(), n, "{suite:?}");
+                mutation.apply(flight);
+            });
+            let incomplete = matches!(mutation, Mutation::Drop(i) if i == n - 1);
+            for ((result, conn), kind) in kinds.iter().zip(["full", "probe"]) {
+                let refused = matches!(
+                    result,
+                    Err(TlsError::UnexpectedMessage { .. }
+                        | TlsError::Decode("missing ServerKeyExchange"))
+                );
+                let verdict_ok = if incomplete {
+                    result.is_ok() && !conn.is_failed()
+                } else {
+                    refused && conn.is_failed()
+                };
+                let unobserved = conn.summary().is_err()
+                    && conn.server_flight().err() == Some(TlsError::NotReady);
+                if !(verdict_ok && unobserved) {
+                    wrong.push(format!("{suite:?} {mutation:?} {kind}: {result:?}"));
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 60);
+    assert!(wrong.is_empty(), "mishandled:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn repeated_new_session_ticket_is_refused() {
+    let env = env();
+    let mut client = ClientConn::new(client_config(&env, ECDHE, 100), HmacDrbg::new(b"c"));
+    let mut server = ServerConn::new(
+        server_config(&env, stek(RotationPolicy::Static)),
+        HmacDrbg::new(b"s"),
+        100,
+    );
+    feed_tls(&mut server, &drain_tls(&mut client));
+    server.process_new_packets().unwrap();
+    feed_tls(&mut client, &drain_tls(&mut server));
+    client.process_new_packets().unwrap();
+    feed_tls(&mut server, &drain_tls(&mut client));
+    server.process_new_packets().unwrap();
+    assert!(server.is_established());
+    // NewSessionTicket in the clear, then ChangeCipherSpec and Finished.
+    let tail = drain_tls(&mut server);
+    let ticket_record = &tail[..5 + u16::from_be_bytes([tail[3], tail[4]]) as usize];
+    assert!(matches!(
+        messages(ticket_record)[..],
+        [HandshakeMessage::NewSessionTicket(_)]
+    ));
+    feed_tls(&mut client, &[ticket_record, &tail].concat());
+    let err = client.process_new_packets().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TlsError::UnexpectedMessage {
+                got: "NewSessionTicket",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(client.is_failed());
+    assert!(client.summary().is_err());
+}
+
+#[test]
+fn server_refuses_a_second_client_hello() {
+    let env = env();
+    let mut client = ClientConn::new(client_config(&env, ECDHE, 100), HmacDrbg::new(b"c"));
+    let mut server = ServerConn::new(
+        server_config(&env, stek(RotationPolicy::Static)),
+        HmacDrbg::new(b"s"),
+        100,
+    );
+    let hello = drain_tls(&mut client);
+    feed_tls(&mut server, &hello);
+    server.process_new_packets().unwrap();
+    feed_tls(&mut server, &hello);
+    let err = server.process_new_packets().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TlsError::UnexpectedMessage {
+                got: "ClientHello",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(server.is_failed());
+    assert!(
+        drain_tls(&mut server).ends_with(&[21, 3, 3, 0, 2, 2, 10]),
+        "fatal unexpected_message alert"
+    );
+}
+
+#[test]
+fn server_refuses_a_client_key_exchange_in_an_abbreviated_handshake() {
+    let env = env();
+    let server_cfg = server_config(&env, stek(RotationPolicy::Static));
+    let mut cfg = client_config(&env, ECDHE, 100);
+    let mut first = ClientConn::new(cfg.clone(), HmacDrbg::new(b"c1"));
+    let mut server = ServerConn::new(server_cfg.clone(), HmacDrbg::new(b"s1"), 100);
+    pump(&mut first, &mut server).unwrap();
+    let summary = first.summary().unwrap();
+    cfg.resumption.session = Some((summary.server_session_id, summary.session));
+
+    let mut client = ClientConn::new(cfg, HmacDrbg::new(b"c2"));
+    let mut server = ServerConn::new(server_cfg, HmacDrbg::new(b"s2"), 101);
+    feed_tls(&mut server, &drain_tls(&mut client));
+    server.process_new_packets().unwrap();
+    assert_eq!(server.resumed(), Some(ResumeKind::SessionId));
+    let cke = ClientKeyExchange::Ecdhe { point: vec![9; 32] };
+    feed_tls(
+        &mut server,
+        &records(&[HandshakeMessage::ClientKeyExchange(cke)]),
+    );
+    let err = server.process_new_packets().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TlsError::UnexpectedMessage {
+                got: "ClientKeyExchange",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(server.is_failed());
 }
 
 /// Creation times of every STEK the manager has used.

@@ -170,6 +170,35 @@ fn removed_connection_api_has_no_callers() {
 }
 
 #[test]
+fn handshake_state_machines_hold_no_panicking_unwraps() {
+    // Each handshake state owns its data, so the state machines have no
+    // `Option` to unwrap: a message out of order is an `UnexpectedMessage`,
+    // never a panic. These files have no test module. The needles are
+    // assembled at runtime so this test never matches its own source.
+    let needles = [
+        format!(".{}(", "expect"),
+        format!(".{}(", "expect_err"),
+        format!(".{}()", "unwrap"),
+        format!("{}!(", "unreachable"),
+    ];
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/tls/src");
+    let mut offenders = Vec::new();
+    for file in ["client.rs", "server.rs", "conn.rs"] {
+        let text = std::fs::read_to_string(dir.join(file)).expect("readable source");
+        for (line, code) in text.lines().enumerate() {
+            for needle in needles.iter().filter(|n| code.contains(n.as_str())) {
+                offenders.push(format!("crates/tls/src/{file}:{}: `{needle}`", line + 1));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "handshake state machines may panic:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
 fn declared_dependencies_are_used() {
     // Every `[dependencies]` edge of the root package and of each crate
     // must be used by that package's `src/`: as a path root (`ts_core::`)
