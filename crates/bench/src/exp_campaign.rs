@@ -524,19 +524,6 @@ pub fn validate_against_truth(ctx: &Context) -> (usize, usize) {
     (checked, mismatches)
 }
 
-/// Ticket lifetime *hints* observed (feeds Figure 2's hint series and the
-/// fantabob-style outlier hunt). The per-domain last-observed hint is
-/// tracked during the streaming run; this folds it into a histogram.
-pub fn hint_distribution(campaign: &Campaign) -> BTreeMap<u32, usize> {
-    // Ordered maps end to end: the hint histogram feeds Figure 2's rendered
-    // series, so its iteration order is part of the repro's output.
-    let mut out: BTreeMap<u32, usize> = BTreeMap::new();
-    for hint in campaign.hints.values() {
-        *out.entry(*hint).or_default() += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,10 +610,10 @@ mod tests {
     #[test]
     fn hints_include_90_day_outliers() {
         let ctx = small_ctx();
-        let hints = hint_distribution(ctx.campaign());
+        let hints = &ctx.campaign().hints;
         // fantabobworld/fantabobshow advertise 90 days.
         let ninety = (90 * DAY) as u32;
-        assert!(hints.get(&ninety).copied().unwrap_or(0) >= 1, "{hints:?}");
+        assert!(hints.values().any(|&h| h == ninety), "{hints:?}");
     }
 
     #[test]

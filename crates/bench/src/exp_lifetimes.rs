@@ -21,7 +21,6 @@ use ts_population::Population;
 use ts_scanner::probe::ProbeSchedule;
 use ts_scanner::{GrabOptions, Scanner};
 use ts_tls::server::ResumeKind;
-use ts_tls::session::SessionState;
 
 /// Results for one mechanism.
 pub struct LifetimeFigure {
@@ -39,18 +38,15 @@ pub struct LifetimeFigure {
 
 struct ProbeState {
     domain: String,
-    // The ID and (encrypted) ticket blob are cleartext wire artifacts;
-    // only `state` below carries the master secret.
-    // ctlint: public
-    session_id: Vec<u8>,
-    // ctlint: public
-    ticket: Option<Vec<u8>>,
-    state: SessionState,
+    /// The resumption offer replayed at every delay, built once at
+    /// establishment: the session ID, or the *original* ticket (§4.2),
+    /// with its saved state. `None` once the domain stops resuming, or
+    /// when it never issued an ID or ticket.
+    resume: Option<GrabOptions>,
     hint: Option<u32>,
     supported: bool,
     resumed_1s: bool,
     max_delay: Option<u64>,
-    alive: bool,
 }
 
 /// Run the lockstep probe experiment for one mechanism.
@@ -71,61 +67,55 @@ fn lockstep_probes(
                 .map(|domain| {
                     let g = scanner.grab(domain, t0, &GrabOptions::new());
                     g.ok().map(|obs| {
-                        let supported = match mechanism {
-                            ResumptionMechanism::SessionId => !obs.session_id.is_empty(),
-                            ResumptionMechanism::Ticket => obs.ticket.is_some(),
+                        let (resume, hint) = match (mechanism, &obs.ticket) {
+                            (ResumptionMechanism::SessionId, _) if !obs.session_id.is_empty() => {
+                                let offer = GrabOptions::new()
+                                    .resume_session(obs.session_id.clone(), obs.session.clone());
+                                (Some(offer), None)
+                            }
+                            (ResumptionMechanism::Ticket, Some(nst)) => {
+                                let offer = GrabOptions::new()
+                                    .resume_ticket(nst.ticket.clone(), obs.session.clone());
+                                (Some(offer), Some(nst.lifetime_hint))
+                            }
+                            _ => (None, None),
                         };
                         ProbeState {
                             domain: domain.clone(),
-                            session_id: obs.session_id.clone(),
-                            ticket: obs.ticket.as_ref().map(|n| n.ticket.clone()),
-                            state: obs.session.clone(),
-                            hint: obs.ticket.as_ref().map(|n| n.lifetime_hint),
-                            supported,
+                            supported: resume.is_some(),
+                            resume,
+                            hint,
                             resumed_1s: false,
                             max_delay: None,
-                            alive: supported,
                         }
                     })
                 })
                 .collect()
         });
     let mut states: Vec<ProbeState> = established.into_iter().flatten().collect();
+    let want = match mechanism {
+        ResumptionMechanism::SessionId => ResumeKind::SessionId,
+        ResumptionMechanism::Ticket => ResumeKind::Ticket,
+    };
 
-    // Probe every still-alive domain at each delay, in lockstep.
+    // Probe every still-resuming domain at each delay, in lockstep.
     for (step, delay) in schedule.delays().enumerate() {
-        let alive_idx: Vec<usize> = states
+        let alive: Vec<(usize, &str, &GrabOptions)> = states
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, _)| i)
+            .filter_map(|(i, s)| Some((i, s.domain.as_str(), s.resume.as_ref()?)))
             .collect();
-        if alive_idx.is_empty() {
+        if alive.is_empty() {
             break;
         }
         let results: Vec<(usize, bool)> =
-            parallel_map(&alive_idx, default_workers(), |chunk_id, chunk| {
+            parallel_map(&alive, default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(pop, &format!("{label}-d{step}-{chunk_id}"));
                 chunk
                     .iter()
-                    .map(|&i| {
-                        let s = &states[i];
-                        let opts = match mechanism {
-                            ResumptionMechanism::SessionId => GrabOptions::new()
-                                .resume_session(s.session_id.clone(), s.state.clone()),
-                            // Always the ORIGINAL ticket (§4.2).
-                            ResumptionMechanism::Ticket => GrabOptions::new().resume_ticket(
-                                s.ticket.clone().expect("alive implies ticket"),
-                                s.state.clone(),
-                            ),
-                        };
-                        let g = scanner.grab(&s.domain, t0 + delay, &opts);
-                        let want = match mechanism {
-                            ResumptionMechanism::SessionId => ResumeKind::SessionId,
-                            ResumptionMechanism::Ticket => ResumeKind::Ticket,
-                        };
-                        let resumed = g.ok().map(|o| o.resumed == Some(want)).unwrap_or(false);
-                        (i, resumed)
+                    .map(|&(i, domain, resume)| {
+                        let g = scanner.grab(domain, t0 + delay, resume);
+                        (i, g.ok().is_some_and(|o| o.resumed == Some(want)))
                     })
                     .collect()
             });
@@ -136,7 +126,7 @@ fn lockstep_probes(
                 }
                 states[i].max_delay = Some(delay);
             } else {
-                states[i].alive = false;
+                states[i].resume = None;
             }
         }
     }
@@ -149,10 +139,7 @@ fn lockstep_probes(
             supported: s.supported,
             resumed_at_1s: s.resumed_1s,
             max_delay: s.max_delay,
-            lifetime_hint: match mechanism {
-                ResumptionMechanism::Ticket => s.hint,
-                ResumptionMechanism::SessionId => None,
-            },
+            lifetime_hint: s.hint,
         })
         .collect()
 }
@@ -332,7 +319,13 @@ mod tests {
         let pop = ctx.fresh_pop();
         let mut scanner = Scanner::new(&pop, "seq-check");
         for domain in ctx.core_trusted.iter().take(12) {
-            let seq = ts_scanner::probe::probe_session_id(&mut scanner, domain, 86_400, &schedule);
+            let seq = ts_scanner::probe::probe_resumption(
+                &mut scanner,
+                domain,
+                ResumptionMechanism::SessionId,
+                86_400,
+                &schedule,
+            );
             assert_eq!(
                 lock.get(domain.as_str()).copied().flatten(),
                 seq.max_delay,

@@ -1,10 +1,11 @@
 //! Minimal JSON tree, serializer, and parser.
 //!
-//! The offline build environment rules out serde, but campaign archives
-//! still need a stable interchange format (the paper publishes its scan
-//! data; ours round-trips through this module). The subset is exactly
-//! RFC 8259 JSON with integers kept exact up to `i128` range; floats use
-//! Rust's shortest-roundtrip formatting.
+//! The offline build environment rules out serde, but the machine-read
+//! outputs still need a stable format: the `campaign/v1` summary, the
+//! telemetry snapshots and the benchmark's reports are written with this
+//! module (and read back by their round-trip tests). The subset is
+//! exactly RFC 8259 JSON with integers kept exact up to `i128` range;
+//! floats use Rust's shortest-roundtrip formatting.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -98,28 +99,11 @@ impl Json {
         }
     }
 
-    /// The value as a u32.
-    pub fn as_u32(&self) -> Result<u32, JsonError> {
-        let v = self.as_u64()?;
-        u32::try_from(v).map_err(|_| JsonError(format!("{v} out of u32 range")))
-    }
-
     /// The value as an array slice.
     pub fn as_array(&self) -> Result<&[Json], JsonError> {
         match self {
             Json::Array(items) => Ok(items),
             other => err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    /// `Some(v)` ↔ `v`, `None` ↔ `null` helper for optional fields.
-    pub fn opt<T>(
-        &self,
-        convert: impl FnOnce(&Json) -> Result<T, JsonError>,
-    ) -> Result<Option<T>, JsonError> {
-        match self {
-            Json::Null => Ok(None),
-            other => convert(other).map(Some),
         }
     }
 

@@ -5,7 +5,8 @@
 //! computes everything the paper's evaluation reports —
 //!
 //! * [`observations`] — the scan record types (sightings, probes, edges)
-//! * [`json`] — dependency-free JSON tree for archiving observations
+//! * [`json`] — dependency-free JSON tree, the writer behind the
+//!   `campaign/v1` summary and the telemetry snapshots
 //! * [`par`] — deterministic chunked fan-out (`parallel_map`)
 //! * [`stream`] — the estimators, one mergeable accumulator per concept,
 //!   under an explicit shard-merge law ([`Merge`]):
@@ -33,7 +34,6 @@
 
 pub mod exposure;
 pub mod groups;
-pub mod interleave;
 pub mod json;
 pub mod observations;
 pub mod par;

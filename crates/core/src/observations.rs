@@ -2,11 +2,7 @@
 //!
 //! These are the crate's input language: everything the analysis computes
 //! is derived from these types. `ts-scanner` produces them from live
-//! (simulated) handshakes; they serialize to JSON (via [`crate::json`],
-//! the workspace has no serde) so campaigns can be archived and
-//! re-analyzed (the paper publishes its data on scans.io).
-
-use crate::json::{Json, JsonError};
+//! (simulated) handshakes, and the analysis consumes them in memory.
 
 /// Which ephemeral key exchange a sighting belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,201 +130,6 @@ impl BurstSummary {
     }
 }
 
-// --- JSON archiving ------------------------------------------------------
-//
-// One `to_json`/`from_json` pair per record type. Field names are the
-// snake-case struct field names, so archives written before the serde
-// removal still parse.
-
-impl KexKind {
-    /// Archive form.
-    pub fn to_json(self) -> Json {
-        Json::str(match self {
-            KexKind::Dhe => "Dhe",
-            KexKind::Ecdhe => "Ecdhe",
-        })
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "Dhe" => Ok(KexKind::Dhe),
-            "Ecdhe" => Ok(KexKind::Ecdhe),
-            other => Err(JsonError(format!("unknown KexKind {other:?}"))),
-        }
-    }
-}
-
-impl ResumptionMechanism {
-    /// Archive form.
-    pub fn to_json(self) -> Json {
-        Json::str(match self {
-            ResumptionMechanism::SessionId => "SessionId",
-            ResumptionMechanism::Ticket => "Ticket",
-        })
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "SessionId" => Ok(ResumptionMechanism::SessionId),
-            "Ticket" => Ok(ResumptionMechanism::Ticket),
-            other => Err(JsonError(format!("unknown ResumptionMechanism {other:?}"))),
-        }
-    }
-}
-
-impl SharingKind {
-    /// Archive form.
-    pub fn to_json(self) -> Json {
-        Json::str(match self {
-            SharingKind::SessionCache => "SessionCache",
-            SharingKind::Stek => "Stek",
-            SharingKind::DhValue => "DhValue",
-        })
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "SessionCache" => Ok(SharingKind::SessionCache),
-            "Stek" => Ok(SharingKind::Stek),
-            "DhValue" => Ok(SharingKind::DhValue),
-            other => Err(JsonError(format!("unknown SharingKind {other:?}"))),
-        }
-    }
-}
-
-impl TicketSighting {
-    /// Archive form.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("domain", Json::str(&self.domain)),
-            ("day", Json::uint(self.day)),
-            ("stek_id", Json::str(&self.stek_id)),
-            ("lifetime_hint", Json::uint(self.lifetime_hint as u64)),
-        ])
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TicketSighting {
-            domain: v.field("domain")?.as_str()?.to_string(),
-            day: v.field("day")?.as_u64()?,
-            stek_id: v.field("stek_id")?.as_str()?.to_string(),
-            lifetime_hint: v.field("lifetime_hint")?.as_u32()?,
-        })
-    }
-}
-
-impl KexSighting {
-    /// Archive form.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("domain", Json::str(&self.domain)),
-            ("day", Json::uint(self.day)),
-            ("kex", self.kex.to_json()),
-            ("value_fp", Json::str(&self.value_fp)),
-        ])
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(KexSighting {
-            domain: v.field("domain")?.as_str()?.to_string(),
-            day: v.field("day")?.as_u64()?,
-            kex: KexKind::from_json(v.field("kex")?)?,
-            value_fp: v.field("value_fp")?.as_str()?.to_string(),
-        })
-    }
-}
-
-impl ResumptionProbe {
-    /// Archive form.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("domain", Json::str(&self.domain)),
-            ("mechanism", self.mechanism.to_json()),
-            ("supported", Json::Bool(self.supported)),
-            ("resumed_at_1s", Json::Bool(self.resumed_at_1s)),
-            ("max_delay", self.max_delay.map_or(Json::Null, Json::uint)),
-            (
-                "lifetime_hint",
-                self.lifetime_hint
-                    .map_or(Json::Null, |h| Json::uint(h as u64)),
-            ),
-        ])
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ResumptionProbe {
-            domain: v.field("domain")?.as_str()?.to_string(),
-            mechanism: ResumptionMechanism::from_json(v.field("mechanism")?)?,
-            supported: v.field("supported")?.as_bool()?,
-            resumed_at_1s: v.field("resumed_at_1s")?.as_bool()?,
-            max_delay: v.field("max_delay")?.opt(|j| j.as_u64())?,
-            lifetime_hint: v.field("lifetime_hint")?.opt(|j| j.as_u32())?,
-        })
-    }
-}
-
-impl SharingEdge {
-    /// Archive form.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("a", Json::str(&self.a)),
-            ("b", Json::str(&self.b)),
-            ("kind", self.kind.to_json()),
-        ])
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SharingEdge {
-            a: v.field("a")?.as_str()?.to_string(),
-            b: v.field("b")?.as_str()?.to_string(),
-            kind: SharingKind::from_json(v.field("kind")?)?,
-        })
-    }
-}
-
-impl BurstSummary {
-    /// Archive form.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("domain", Json::str(&self.domain)),
-            ("attempts", Json::uint(self.attempts as u64)),
-            ("successes", Json::uint(self.successes as u64)),
-            ("trusted", Json::Bool(self.trusted)),
-            (
-                "distinct_kex_values",
-                self.distinct_kex_values
-                    .map_or(Json::Null, |d| Json::uint(d as u64)),
-            ),
-            (
-                "distinct_stek_ids",
-                self.distinct_stek_ids
-                    .map_or(Json::Null, |d| Json::uint(d as u64)),
-            ),
-            ("tickets_issued", Json::uint(self.tickets_issued as u64)),
-        ])
-    }
-
-    /// Parse the archive form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(BurstSummary {
-            domain: v.field("domain")?.as_str()?.to_string(),
-            attempts: v.field("attempts")?.as_u32()?,
-            successes: v.field("successes")?.as_u32()?,
-            trusted: v.field("trusted")?.as_bool()?,
-            distinct_kex_values: v.field("distinct_kex_values")?.opt(|j| j.as_u32())?,
-            distinct_stek_ids: v.field("distinct_stek_ids")?.opt(|j| j.as_u32())?,
-            tickets_issued: v.field("tickets_issued")?.as_u32()?,
-        })
-    }
-}
-
 /// Hex-encode helper shared by observation producers.
 pub fn fingerprint_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -376,68 +177,6 @@ mod tests {
         };
         assert!(!single.repeats_kex(), "one success can't show reuse");
         assert!(!single.all_same_stek());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let s = TicketSighting {
-            domain: "a.sim".into(),
-            day: 5,
-            stek_id: "aabb".into(),
-            lifetime_hint: 300,
-        };
-        let json = s.to_json().to_json_string();
-        assert_eq!(
-            TicketSighting::from_json(&Json::parse(&json).unwrap()).unwrap(),
-            s
-        );
-        let p = ResumptionProbe {
-            domain: "a.sim".into(),
-            mechanism: ResumptionMechanism::Ticket,
-            supported: true,
-            resumed_at_1s: true,
-            max_delay: Some(300),
-            lifetime_hint: Some(300),
-        };
-        let json = p.to_json().to_json_string();
-        assert_eq!(
-            ResumptionProbe::from_json(&Json::parse(&json).unwrap()).unwrap(),
-            p
-        );
-
-        let none_probe = ResumptionProbe {
-            max_delay: None,
-            lifetime_hint: None,
-            ..p
-        };
-        let json = none_probe.to_json().to_json_string();
-        assert_eq!(
-            ResumptionProbe::from_json(&Json::parse(&json).unwrap()).unwrap(),
-            none_probe
-        );
-
-        let k = KexSighting {
-            domain: "b.sim".into(),
-            day: 2,
-            kex: KexKind::Ecdhe,
-            value_fp: "0011".into(),
-        };
-        let json = k.to_json().to_json_string();
-        assert_eq!(
-            KexSighting::from_json(&Json::parse(&json).unwrap()).unwrap(),
-            k
-        );
-
-        let e = SharingEdge {
-            a: "a.sim".into(),
-            b: "b.sim".into(),
-            kind: SharingKind::Stek,
-        };
-        let json = e.to_json().to_json_string();
-        assert_eq!(
-            SharingEdge::from_json(&Json::parse(&json).unwrap()).unwrap(),
-            e
-        );
     }
 
     #[test]

@@ -27,11 +27,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience for &str cells.
-    pub fn row_str(&mut self, cells: &[&str]) {
-        self.row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -122,8 +117,8 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = TextTable::new(&["Domain", "Days"]);
-        t.row_str(&["yahoo.sim", "63"]);
-        t.row_str(&["x.sim", "5"]);
+        t.row(&["yahoo.sim".into(), "63".into()]);
+        t.row(&["x.sim".into(), "5".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -138,7 +133,7 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         let mut t = TextTable::new(&["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 
     #[test]

@@ -467,18 +467,6 @@ impl Ub {
         result
     }
 
-    /// Greatest common divisor (Euclid).
-    pub fn gcd(&self, other: &Ub) -> Ub {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        while !b.is_zero() {
-            let r = a.rem(&b);
-            a = b;
-            b = r;
-        }
-        a
-    }
-
     /// Modular inverse of `self` modulo `modulus`, if it exists.
     pub fn modinv(&self, modulus: &Ub) -> Result<Ub, CryptoError> {
         // Extended Euclid on (a, m), tracking only the coefficient of a and
@@ -1218,10 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn gcd_and_modinv() {
-        let a = Ub::from_u64(270);
-        let b = Ub::from_u64(192);
-        assert_eq!(a.gcd(&b), Ub::from_u64(6));
+    fn modinv_inverts_and_rejects() {
         // 3 * 7 = 21 ≡ 1 mod 10 → inverse of 3 mod 10 is 7.
         assert_eq!(
             Ub::from_u64(3).modinv(&Ub::from_u64(10)).unwrap(),

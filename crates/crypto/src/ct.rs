@@ -1,4 +1,4 @@
-//! Constant-time primitives: comparisons, selection, and ordering.
+//! Constant-time primitives: comparisons and selection.
 //!
 //! Everything here avoids secret-dependent branches and secret-dependent
 //! memory access. The workspace's `ts-lint` analyzer flags `==`/`!=` on
@@ -32,27 +32,11 @@ pub fn ct_eq_array<const N: usize>(a: &[u8; N], b: &[u8; N]) -> bool {
     diff == 0
 }
 
-/// Select `a` if `mask == 0xFF`, `b` if `mask == 0x00`, without branching.
-///
-/// `mask` must be exactly `0x00` or `0xFF` (as produced by [`ct_mask`] or
-/// [`ct_lt`]); any other value interleaves the operands' bits.
-pub fn ct_select(mask: u8, a: u8, b: u8) -> u8 {
-    (mask & a) | (!mask & b)
-}
-
-/// Branchless `0xFF` if `c != 0`, else `0x00`.
-pub fn ct_mask(c: u8) -> u8 {
-    // (c | -c) has its top bit set iff c != 0; arithmetic shift smears it.
-    let c = c as i8;
-    ((c | c.wrapping_neg()) >> 7) as u8
-}
-
 /// Select `a` if `mask == u64::MAX`, `b` if `mask == 0`, without branching.
 ///
-/// The limb-width sibling of [`ct_select`]: the windowed Montgomery
-/// exponentiation in [`crate::bignum`] scans its whole precomputed table
-/// with masks from [`ct_eq_u64_mask`] so the secret window value never
-/// selects a memory address.
+/// The windowed Montgomery exponentiation in [`crate::bignum`] scans its
+/// whole precomputed table with masks from [`ct_eq_u64_mask`] so the
+/// secret window value never selects a memory address.
 pub fn ct_select_u64(mask: u64, a: u64, b: u64) -> u64 {
     (mask & a) | (!mask & b)
 }
@@ -63,16 +47,6 @@ pub fn ct_eq_u64_mask(a: u64, b: u64) -> u64 {
     // from 0/1 to smear into an all-or-nothing mask.
     let d = a ^ b;
     ((d | d.wrapping_neg()) >> 63).wrapping_sub(1)
-}
-
-/// Branchless `0xFF` if `a < b`, else `0x00`, for 8-bit operands.
-///
-/// Used to validate secret-derived quantities (CBC padding lengths) without
-/// a data-dependent branch.
-pub fn ct_lt(a: u8, b: u8) -> u8 {
-    // Classic trick: the borrow out of (a - b) computed in 16 bits.
-    let diff = (a as i16) - (b as i16);
-    ((diff >> 15) & 0xFF) as u8
 }
 
 #[cfg(test)]
@@ -115,20 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn select_picks_by_mask() {
-        assert_eq!(ct_select(0xFF, 0x12, 0x34), 0x12);
-        assert_eq!(ct_select(0x00, 0x12, 0x34), 0x34);
-    }
-
-    #[test]
-    fn mask_is_all_or_nothing() {
-        assert_eq!(ct_mask(0), 0x00);
-        for c in 1..=255u8 {
-            assert_eq!(ct_mask(c), 0xFF, "c = {c}");
-        }
-    }
-
-    #[test]
     fn select_u64_picks_by_mask() {
         assert_eq!(ct_select_u64(u64::MAX, 0x12, 0x34), 0x12);
         assert_eq!(ct_select_u64(0, 0x12, 0x34), 0x34);
@@ -143,16 +103,6 @@ mod tests {
         for i in 0..64 {
             assert_eq!(ct_eq_u64_mask(1 << i, 0), 0, "bit {i}");
             assert_eq!(ct_eq_u64_mask(1 << i, 1 << i), u64::MAX, "bit {i}");
-        }
-    }
-
-    #[test]
-    fn lt_matches_operator_exhaustively() {
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                let want = if a < b { 0xFF } else { 0x00 };
-                assert_eq!(ct_lt(a, b), want, "a={a} b={b}");
-            }
         }
     }
 }

@@ -84,11 +84,6 @@ impl HmacDrbg {
         }
     }
 
-    /// Mix additional entropy/material into the state.
-    pub fn reseed(&mut self, material: &[u8]) {
-        self.update(Some(material));
-    }
-
     /// Fill `out` with pseudo-random bytes.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut offset = 0;
@@ -113,13 +108,6 @@ impl HmacDrbg {
         let mut buf = [0u8; 8];
         self.fill_bytes(&mut buf);
         u64::from_be_bytes(buf)
-    }
-
-    /// A pseudo-random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut buf = [0u8; 4];
-        self.fill_bytes(&mut buf);
-        u32::from_be_bytes(buf)
     }
 
     /// Uniform value in `[0, bound)` by rejection sampling. Panics if
@@ -233,14 +221,6 @@ mod tests {
         let mut c3 = parent1.fork("child-a");
         // parent state advanced, so a second fork differs.
         assert_ne!(c1.bytes(32), c3.bytes(32));
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = HmacDrbg::new(b"seed");
-        let mut b = HmacDrbg::new(b"seed");
-        b.reseed(b"extra");
-        assert_ne!(a.bytes(32), b.bytes(32));
     }
 
     #[test]

@@ -54,6 +54,16 @@
 //! file = "crates/example/src/counter.rs"
 //! ident = "epoch"
 //! reason = "single-writer flag; readers tolerate staleness by design"
+//!
+//! # [[api]] blocks excuse `test-only-api` findings: a public function
+//! # that only tests read (an observation point, a reference
+//! # implementation). The reason names the test that reads it. Same
+//! # contract: a mandatory reason, and a stale entry fails the lint.
+//! [[api]]
+//! rule = "test-only-api"
+//! file = "crates/bench/src/exp_campaign.rs"
+//! ident = "validate_against_truth"
+//! reason = "tests/end_to_end.rs checks the span estimators against it"
 //! ```
 //!
 //! `reason` is mandatory: an exception without a recorded justification is a
@@ -61,7 +71,8 @@
 
 use crate::diag::{Diagnostic, Rule, RuleFamily};
 
-/// One `[[allow]]` or `[[determinism]]` entry from `ctlint.toml`.
+/// One waiver entry from `ctlint.toml`: `[[allow]]`, `[[determinism]]`,
+/// `[[lifetime]]`, `[[concurrency]]` or `[[api]]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
     /// Which config section this entry came from. The entry may only
@@ -195,6 +206,9 @@ impl Config {
             } else if line == "[[concurrency]]" {
                 partial.push(PartialAllow::new(RuleFamily::Concurrency));
                 section = Section::Allow(partial.len() - 1);
+            } else if line == "[[api]]" {
+                partial.push(PartialAllow::new(RuleFamily::Api));
+                section = Section::Allow(partial.len() - 1);
             } else if line == "[secrets]" {
                 section = Section::Secrets;
             } else if line == "[telemetry]" {
@@ -277,11 +291,6 @@ impl Config {
             cfg.allows.push(p.finish()?);
         }
         Ok(cfg)
-    }
-
-    /// True if `name` is a configured secret type (seed list + toml).
-    pub fn is_secret_type(&self, name: &str) -> bool {
-        self.secret_types.iter().any(|t| t == name)
     }
 }
 
@@ -400,12 +409,16 @@ fn parse_string_array(v: &str) -> Option<Vec<String>> {
 mod tests {
     use super::*;
 
+    fn is_secret_type(cfg: &Config, name: &str) -> bool {
+        cfg.secret_types.iter().any(|t| t == name)
+    }
+
     #[test]
     fn default_seed_list_has_the_stack_key_types() {
         let cfg = Config::default();
-        assert!(cfg.is_secret_type("Stek"));
-        assert!(cfg.is_secret_type("ConnectionKeys"));
-        assert!(!cfg.is_secret_type("Cdf"));
+        assert!(is_secret_type(&cfg, "Stek"));
+        assert!(is_secret_type(&cfg, "ConnectionKeys"));
+        assert!(!is_secret_type(&cfg, "Cdf"));
     }
 
     #[test]
@@ -425,8 +438,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(cfg.is_secret_type("Extra"));
-        assert!(cfg.is_secret_type("Stek"));
+        assert!(is_secret_type(&cfg, "Extra"));
+        assert!(is_secret_type(&cfg, "Stek"));
         assert!(cfg.secret_fns.iter().any(|f| f == "hkdf_extract"));
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(cfg.allows[0].ident, "SBOX");

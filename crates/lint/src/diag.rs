@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// The diagnostic classes `ts-lint` reports: five secret-hygiene rules
-/// plus the determinism family (the repro's byte-identical-output claim).
+/// The diagnostic classes `ts-lint` reports: the secret-hygiene,
+/// determinism, lifetime, concurrency and API families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// A `==` / `!=` comparison touching secret-tainted bytes instead of
@@ -87,6 +87,12 @@ pub enum Rule {
     /// or an unsafe block calling such a kernel whose `// SAFETY:` comment
     /// does not name the gate that makes the call sound.
     SimdDispatchGate,
+    /// A bare-`pub` production function whose name is defined once and
+    /// that no other production code names: only tests, examples or
+    /// nothing at all reach it. Callers in `src/bin` and `benches/src`
+    /// count. A test observation point or reference implementation is
+    /// waived under `[[api]]`, naming the test that reads it.
+    TestOnlyApi,
 }
 
 impl Rule {
@@ -110,6 +116,7 @@ impl Rule {
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::LockAcrossCallback => "lock-across-callback",
             Rule::SimdDispatchGate => "simd-dispatch-gate",
+            Rule::TestOnlyApi => "test-only-api",
         }
     }
 
@@ -134,11 +141,12 @@ impl Rule {
             | Rule::AtomicOrdering
             | Rule::LockAcrossCallback
             | Rule::SimdDispatchGate => RuleFamily::Concurrency,
+            Rule::TestOnlyApi => RuleFamily::Api,
         }
     }
 
     /// All rules, for iteration/tests.
-    pub fn all() -> [Rule; 16] {
+    pub fn all() -> [Rule; 17] {
         [
             Rule::NonCtComparison,
             Rule::SecretLeak,
@@ -156,6 +164,7 @@ impl Rule {
             Rule::AtomicOrdering,
             Rule::LockAcrossCallback,
             Rule::SimdDispatchGate,
+            Rule::TestOnlyApi,
         ]
     }
 }
@@ -176,6 +185,8 @@ pub enum RuleFamily {
     /// Concurrency soundness (lock order, atomics ordering, fan-out
     /// discipline, SIMD dispatch gating): suppressed by `[[concurrency]]`.
     Concurrency,
+    /// Public API without a production caller: suppressed by `[[api]]`.
+    Api,
 }
 
 impl RuleFamily {
@@ -186,6 +197,7 @@ impl RuleFamily {
             RuleFamily::Determinism => "[[determinism]]",
             RuleFamily::Lifetime => "[[lifetime]]",
             RuleFamily::Concurrency => "[[concurrency]]",
+            RuleFamily::Api => "[[api]]",
         }
     }
 }

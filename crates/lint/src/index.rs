@@ -74,8 +74,13 @@ pub struct ImplDef {
 pub struct FnDef {
     /// Function name.
     pub name: String,
+    /// Token index of the name (the identifier after `fn`).
+    pub name_at: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
+    /// Declared with a bare `pub` (not `pub(crate)`, `pub(super)` or
+    /// `pub(in …)`): part of the crate's public API.
+    pub is_pub: bool,
     /// Marked `// ctlint: secret`: every parameter (and the return value)
     /// is treated as secret-tainted.
     pub annotated_secret: bool,
@@ -127,6 +132,10 @@ pub struct FileIndex {
     pub impls: Vec<ImplDef>,
     /// Function items.
     pub fns: Vec<FnDef>,
+    /// Half-open token ranges of the outermost `#[cfg(test)]` items and
+    /// `mod tests` blocks, in source order. Tokens outside them are
+    /// production code.
+    pub test_ranges: Vec<(usize, usize)>,
     /// `unsafe { … }` expression blocks (audited by the `unsafe-audit`
     /// rule). `unsafe fn` *declarations* are deliberately not listed: their
     /// obligations are discharged at call sites, which are unsafe blocks.
@@ -270,6 +279,7 @@ struct Pending {
     derives: Vec<String>,
     cfg_test: bool,
     target_feature: bool,
+    bare_pub: bool,
 }
 
 /// Parse one `ctlint:` directive body (`secret`, `public`,
@@ -338,42 +348,65 @@ fn scan_items_with_self(
                     i += 1;
                 }
             }
-            TokKind::Ident => match t.text.as_str() {
-                "pub" => {
-                    // skip visibility, including pub(crate) / pub(in …)
-                    i += 1;
-                    if i < hi && toks[i].is_punct("(") {
-                        i = matching(toks, i, hi) + 1;
+            TokKind::Ident => {
+                // An outermost test item: everything up to its end is
+                // test code.
+                let start = i;
+                let test_item = !in_test
+                    && (pend.cfg_test
+                        || (t.text == "mod"
+                            && toks.get(i + 1).is_some_and(|n| n.is_ident("tests"))));
+                match t.text.as_str() {
+                    "pub" => {
+                        // skip visibility, including pub(crate) / pub(in …)
+                        i += 1;
+                        if i < hi && toks[i].is_punct("(") {
+                            i = matching(toks, i, hi) + 1;
+                        } else {
+                            pend.bare_pub = true;
+                        }
+                        continue;
+                    }
+                    "struct" | "enum" | "union" => {
+                        i = scan_type_def(toks, i, hi, in_test, &mut pend, out);
+                    }
+                    "impl" => {
+                        i = scan_impl(toks, i, hi, in_test, &mut pend, out);
+                    }
+                    "fn" => {
+                        i = scan_fn(toks, i, hi, in_test, self_type, &mut pend, out);
+                    }
+                    "mod" => {
+                        i = scan_mod(toks, i, hi, in_test, &mut pend, out);
+                    }
+                    "trait" | "macro_rules" => {
+                        i = skip_to_block_end(toks, i, hi);
+                        pend = Pending::default();
+                    }
+                    // `const fn` is a function; `const X: T = …;` is not.
+                    "const" if toks.get(i + 1).is_some_and(|n| n.is_ident("fn")) => {
+                        i += 1;
+                        continue;
+                    }
+                    "use" | "extern" | "type" | "const" | "static" => {
+                        i = skip_to_semi_or_block(toks, i, hi);
+                        pend = Pending::default();
+                    }
+                    // `unsafe`, `async`, `default` etc. prefix other items:
+                    // keep pending context and move on.
+                    "unsafe" | "async" | "default" => {
+                        i += 1;
+                        continue;
+                    }
+                    _ => {
+                        i += 1;
+                        pend = Pending::default();
                     }
                 }
-                "struct" | "enum" | "union" => {
-                    i = scan_type_def(toks, i, hi, in_test, &mut pend, out);
+                if test_item {
+                    out.test_ranges.push((start, i.min(hi)));
                 }
-                "impl" => {
-                    i = scan_impl(toks, i, hi, in_test, &mut pend, out);
-                }
-                "fn" => {
-                    i = scan_fn(toks, i, hi, in_test, self_type, &mut pend, out);
-                }
-                "mod" => {
-                    i = scan_mod(toks, i, hi, in_test, &mut pend, out);
-                }
-                "trait" | "macro_rules" => {
-                    i = skip_to_block_end(toks, i, hi);
-                    pend = Pending::default();
-                }
-                "use" | "extern" | "type" | "const" | "static" => {
-                    i = skip_to_semi_or_block(toks, i, hi);
-                    pend = Pending::default();
-                }
-                // `unsafe`, `async`, `default` etc. prefix other items:
-                // keep pending context and move on.
-                "unsafe" | "async" | "default" => i += 1,
-                _ => {
-                    i += 1;
-                    pend = Pending::default();
-                }
-            },
+            }
             _ => {
                 // Stray tokens at item level (shouldn't happen in valid
                 // Rust): skip groups wholesale so we never mis-nest.
@@ -670,7 +703,8 @@ fn scan_fn(
     out: &mut FileIndex,
 ) -> usize {
     let line = toks[kw].line;
-    let mut i = kw + 1;
+    let name_at = kw + 1;
+    let mut i = name_at;
     let Some(name_tok) = toks.get(i).filter(|t| t.kind == TokKind::Ident) else {
         *pend = Pending::default();
         return i;
@@ -737,7 +771,9 @@ fn scan_fn(
     };
     out.fns.push(FnDef {
         name,
+        name_at,
         line,
+        is_pub: pend.bare_pub,
         annotated_secret: pend.secret,
         params,
         return_idents,

@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod api;
 pub mod callgraph;
 pub mod concurrency;
 pub mod config;
@@ -89,23 +90,25 @@ pub fn analyze_sources_with_workers(
     config: &Config,
     workers: usize,
 ) -> Report {
-    let indexes = driver::index_files(files, workers);
-    let raw = rules::analyze_with_workers(&indexes, config, workers);
-    apply_allowlist(raw, config, files.len())
+    let (callers, linted): (Vec<_>, Vec<_>) = files
+        .iter()
+        .cloned()
+        .partition(|(path, _)| path.starts_with(api::CALLER_ONLY_PREFIX));
+    let indexes = driver::index_files(&linted, workers);
+    let caller_indexes = driver::index_files(&callers, workers);
+    let raw = rules::analyze_with_workers(&indexes, &caller_indexes, config, workers);
+    apply_allowlist(raw, config, linted.len())
 }
 
-/// Analyze every production `.rs` file under `root`, honouring
-/// `root/ctlint.toml` if present. Uses the default worker count.
+/// Analyze every production `.rs` file under `root` on `workers` workers,
+/// honouring `root/ctlint.toml` if present.
 ///
-/// Skipped trees: `target/`, VCS metadata, `tests/` and `benches/`
-/// directories (test code legitimately compares and prints secrets — the
-/// same exemption `#[cfg(test)]` modules get), and the lint's own
-/// `tests/fixtures/` corpus of deliberately-bad snippets.
-pub fn check_workspace(root: &Path) -> Result<Report, ConfigError> {
-    check_workspace_with_workers(root, ts_core::par::default_workers())
-}
-
-/// [`check_workspace`] with an explicit worker count.
+/// Skipped trees: `target/`, VCS metadata, `tests/`, `benches/` and
+/// `examples/` directories (test code legitimately compares and prints
+/// secrets — the same exemption `#[cfg(test)]` modules get), and with
+/// them the lint's own `tests/fixtures/` corpus of deliberately-bad
+/// snippets. `benches/src` is read back in for the `test-only-api` rule's
+/// callers only.
 pub fn check_workspace_with_workers(root: &Path, workers: usize) -> Result<Report, ConfigError> {
     let (files, config) = load_workspace(root)?;
     Ok(analyze_sources_with_workers(&files, &config, workers))
@@ -151,6 +154,8 @@ fn load_workspace(root: &Path) -> Result<(Vec<(String, String)>, Config), Config
     };
     let mut paths = Vec::new();
     collect_rs_files(root, root, &mut paths);
+    // The public API's callers in the benchmark crate (see [`api`]).
+    collect_rs_files(root, &root.join(api::CALLER_ONLY_PREFIX), &mut paths);
     paths.sort();
     let files: Vec<(String, String)> = paths
         .into_iter()

@@ -169,15 +169,17 @@ impl SecretModel {
 /// Run all rules over the indexed files. Returns raw (pre-allowlist)
 /// diagnostics sorted by file/line.
 pub fn analyze<F: AsRef<FileIndex> + Sync>(files: &[F], config: &Config) -> Vec<Diagnostic> {
-    analyze_with_workers(files, config, 1)
+    analyze_with_workers(files, &[], config, 1)
 }
 
 /// [`analyze`] with an explicit worker count for the interprocedural
 /// fixpoint and the per-file rule pass. The output is byte-identical at
 /// every worker count: parallel stages return values re-assembled in
-/// chunk order, and the flow rounds are Jacobi-synchronous.
+/// chunk order, and the flow rounds are Jacobi-synchronous. `callers`
+/// are read by the `test-only-api` rule only (see [`crate::api`]).
 pub fn analyze_with_workers<F: AsRef<FileIndex> + Sync>(
     files: &[F],
+    callers: &[F],
     config: &Config,
     workers: usize,
 ) -> Vec<Diagnostic> {
@@ -220,6 +222,8 @@ pub fn analyze_with_workers<F: AsRef<FileIndex> + Sync>(
     // The concurrency family reuses the call graph for interprocedural
     // held-lock propagation and SIMD dispatch-gate walks.
     crate::concurrency::check(files, &graph, &mut diags);
+
+    crate::api::check(files, callers, &graph, &mut diags);
 
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule.id(), &a.ident).cmp(&(&b.file, b.line, b.rule.id(), &b.ident))
@@ -397,7 +401,6 @@ impl<'m> TaintEnv<'m> {
             "gen_range",
             "gen_bool",
             "gen_f64",
-            "next_u32",
             "next_u64",
         ];
         // Walk the whole chain: `a.material.len()` is public even though
@@ -948,7 +951,7 @@ fn check_index(
             ident: base,
             message: format!(
                 "table `{}` is indexed by secret-tainted `{}`; data-dependent lookups \
-                 leak through the cache — mask with `ct_select` or justify in ctlint.toml",
+                 leak through the cache — mask with `ct_select_u64` or justify in ctlint.toml",
                 toks[..open]
                     .iter()
                     .rev()

@@ -8,8 +8,8 @@
 //! much a regression as a good snippet firing at all.
 //!
 //! File-name convention: `bad_*` must declare at least one expectation,
-//! `good_*` must declare none. The workspace scan in `check_workspace`
-//! skips `tests/` directories, so the corpus never pollutes the real lint.
+//! `good_*` must declare none. The workspace scan skips `tests/`
+//! directories, so the corpus never pollutes the real lint.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;

@@ -4,7 +4,7 @@
 // with the same --seed diverge.
 use std::collections::hash_map::RandomState;
 
-pub fn seed_from_environment() -> u64 {
+fn seed_from_environment() -> u64 {
     let _hasher_seed = RandomState::new();
     std::env::var("REPRO_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
 }

@@ -14,7 +14,7 @@ unsafe fn blocks4(x: &mut [u8]) {
     x[0] = x[0].wrapping_add(1);
 }
 
-pub fn driver(x: &mut [u8]) {
+fn driver(x: &mut [u8]) {
     if mul_available() {
         // SAFETY: offsets are in bounds for the 16-byte block.
         unsafe { blocks4(x) }

@@ -15,6 +15,6 @@ fn fold(x: &mut [u8]) {
     unsafe { gf_mul8(x) }
 }
 
-pub fn update(x: &mut [u8]) {
+fn update(x: &mut [u8]) {
     fold(x);
 }

@@ -3,7 +3,7 @@
 // vector: two runs with different hash seeds print different rows.
 use std::collections::HashMap;
 
-pub fn histogram(samples: &[u32]) -> Vec<(u32, usize)> {
+fn histogram(samples: &[u32]) -> Vec<(u32, usize)> {
     let mut counts: HashMap<u32, usize> = HashMap::new();
     for s in samples {
         *counts.entry(*s).or_default() += 1;

@@ -1,7 +1,7 @@
 // expect: unordered-reduction total
 // Mutating captured state from inside a parallel_map closure makes the
 // result depend on which worker gets there first.
-pub fn sum_via_captured_accumulator(items: &[u64]) -> u64 {
+fn sum_via_captured_accumulator(items: &[u64]) -> u64 {
     let mut total = 0u64;
     parallel_map(items, 8, |_id, chunk| {
         for x in chunk {

@@ -4,7 +4,7 @@
 // how fast) the run happened instead of on the seed.
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-pub fn jittered_day() -> u64 {
+fn jittered_day() -> u64 {
     let t = Instant::now();
     let epoch = SystemTime::now().duration_since(UNIX_EPOCH).unwrap().as_secs();
     epoch / 86_400 + t.elapsed().as_secs()

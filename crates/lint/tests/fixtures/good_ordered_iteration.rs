@@ -2,7 +2,7 @@
 // legitimate: none of them lets the hash seed reach the output.
 use std::collections::{BTreeMap, HashMap};
 
-pub fn histogram(samples: &[u32]) -> Vec<(u32, usize)> {
+fn histogram(samples: &[u32]) -> Vec<(u32, usize)> {
     let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
     for s in samples {
         *counts.entry(*s).or_default() += 1;
@@ -10,16 +10,16 @@ pub fn histogram(samples: &[u32]) -> Vec<(u32, usize)> {
     counts.into_iter().collect()
 }
 
-pub fn lookup_only(index: &HashMap<String, u64>, key: &str) -> Option<u64> {
+fn lookup_only(index: &HashMap<String, u64>, key: &str) -> Option<u64> {
     index.get(key).copied()
 }
 
-pub fn sorted_drain(index: &HashMap<String, u64>) -> Vec<String> {
+fn sorted_drain(index: &HashMap<String, u64>) -> Vec<String> {
     let mut keys: Vec<String> = index.keys().cloned().collect();
     keys.sort();
     keys
 }
 
-pub fn rekeyed(index: &HashMap<String, u64>) -> BTreeMap<String, u64> {
+fn rekeyed(index: &HashMap<String, u64>) -> BTreeMap<String, u64> {
     index.iter().map(|(k, v)| (k.clone(), *v)).collect::<BTreeMap<String, u64>>()
 }

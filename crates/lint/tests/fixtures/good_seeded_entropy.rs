@@ -3,11 +3,11 @@
 pub struct SeededRng(u64);
 
 impl SeededRng {
-    pub fn from_seed(seed: u64) -> Self {
+    fn from_seed(seed: u64) -> Self {
         SeededRng(seed)
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
         self.0
     }

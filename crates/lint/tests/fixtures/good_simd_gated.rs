@@ -11,7 +11,7 @@ unsafe fn fold8(x: &mut [u8]) {
     x[0] = x[0].wrapping_add(1);
 }
 
-pub fn fold(x: &mut [u8]) {
+fn fold(x: &mut [u8]) {
     if fold_available() {
         // SAFETY: fold_available() gates this path on the CPUID avx2
         // detect, so the target-feature contract holds at every call.

@@ -1,6 +1,6 @@
 // Experiment logic runs on virtual time threaded in by the caller; wall
 // clocks are fine inside #[cfg(test)] code, which the analyzer exempts.
-pub fn span_days(first_seen: u64, last_seen: u64) -> u64 {
+fn span_days(first_seen: u64, last_seen: u64) -> u64 {
     (last_seen - first_seen) / 86_400 + 1
 }
 

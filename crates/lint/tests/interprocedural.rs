@@ -13,16 +13,16 @@ fn two_hop_leak_reaches_the_sink_rule() {
     let files: Vec<(String, String)> = [
         (
             "crates/a/src/hop1.rs",
-            "pub fn acquire(state: &SessionState) {\n    \
+            "fn acquire(state: &SessionState) {\n    \
              relay(state.master_secret.to_vec());\n}\n",
         ),
         (
             "crates/b/src/hop2.rs",
-            "pub fn relay(material: Vec<u8>) {\n    deliver(material);\n}\n",
+            "fn relay(material: Vec<u8>) {\n    deliver(material);\n}\n",
         ),
         (
             "crates/c/src/hop3.rs",
-            "pub fn deliver(payload: Vec<u8>) {\n    \
+            "fn deliver(payload: Vec<u8>) {\n    \
              LATENCY.observe(payload[0] as u64);\n}\n",
         ),
     ]

@@ -86,18 +86,6 @@ impl GroundTruth {
     pub fn is_empty(&self) -> bool {
         self.by_name.is_empty()
     }
-
-    /// All domains configured with a given shared-unit id, for validating
-    /// service-group inference. `select` picks which unit field to match.
-    pub fn unit_members(
-        &self,
-        unit: usize,
-        select: impl Fn(&DomainTruth) -> Option<usize>,
-    ) -> Vec<&DomainTruth> {
-        let mut v: Vec<&DomainTruth> = self.iter().filter(|t| select(t) == Some(unit)).collect();
-        v.sort_by(|a, b| a.name.cmp(&b.name));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -134,17 +122,5 @@ mod tests {
         assert_eq!(gt.len(), 3);
         assert_eq!(gt.get("a.sim").unwrap().cache_unit, Some(1));
         assert!(gt.get("zzz.sim").is_none());
-    }
-
-    #[test]
-    fn unit_members_filters_and_sorts() {
-        let mut gt = GroundTruth::new();
-        gt.insert(truth("b.sim", Some(1)));
-        gt.insert(truth("a.sim", Some(1)));
-        gt.insert(truth("c.sim", Some(2)));
-        gt.insert(truth("d.sim", None));
-        let members = gt.unit_members(1, |t| t.cache_unit);
-        let names: Vec<&str> = members.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["a.sim", "b.sim"]);
     }
 }

@@ -465,14 +465,14 @@ pub fn notables(scale: f64) -> Vec<NotableDomain> {
     v
 }
 
-/// Total ppm consumed by named operators (sanity bound for the builder).
-pub fn total_operator_ppm() -> u64 {
-    operators().iter().map(|o| o.ppm as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total ppm consumed by named operators.
+    fn total_operator_ppm() -> u64 {
+        operators().iter().map(|o| o.ppm as u64).sum()
+    }
 
     #[test]
     fn operator_table_is_sane() {

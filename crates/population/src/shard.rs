@@ -5,21 +5,16 @@
 //! `parallel_map` uses for work chunks — so per-shard scanner seeds and
 //! per-shard accumulator state line up exactly with the parallel fan-out
 //! at any worker count. This module is the population-side view of that
-//! partition: each shard knows its domain slice, can extract the DNS
-//! subzone covering exactly those domains, and the whole partition can be
-//! audited for shared server state (session caches, STEK managers,
-//! ephemeral-value caches) that *straddles* a shard boundary.
+//! partition: each shard knows its domain slice and can extract the DNS
+//! subzone covering exactly those domains.
 //!
-//! Straddling units are why shard-local analysis alone is not enough:
-//! two domains behind one STEK manager may land in different shards, so
-//! cross-domain structures (service groups) must be built from merged
-//! shard summaries rather than per shard. The [`unit_census`] makes that
-//! boundary traffic measurable instead of folklore.
-//!
-//! [`unit_census`]: PopulationShards::unit_census
+//! Shared server state (session caches, STEK managers, ephemeral-value
+//! caches) can *straddle* a shard boundary: two domains behind one STEK
+//! manager may land in different shards, so cross-domain structures
+//! (service groups) must be built from merged shard summaries rather
+//! than per shard.
 
 use crate::build::Population;
-use std::collections::BTreeMap;
 use ts_core::par::ShardPlan;
 use ts_simnet::dns::Dns;
 
@@ -30,24 +25,6 @@ pub struct ShardView<'a> {
     pub shard: usize,
     /// The shard's domains, in scan-list order.
     pub domains: &'a [String],
-}
-
-/// How the population's shared server-state units fall across the
-/// partition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UnitCensus {
-    /// Shared units whose member domains all live in one shard.
-    pub contained: usize,
-    /// Shared units with member domains in two or more shards. These
-    /// force cross-shard merges during group analysis.
-    pub straddling: usize,
-}
-
-impl UnitCensus {
-    /// Total shared units observed in the partition.
-    pub fn total(&self) -> usize {
-        self.contained + self.straddling
-    }
 }
 
 /// A fixed partition of a scan list over a population.
@@ -96,42 +73,6 @@ impl<'a> PopulationShards<'a> {
         self.pop
             .dns
             .subzone(self.view(shard).domains.iter().map(|d| d.as_str()))
-    }
-
-    /// Census of shared server-state units (session-cache, STEK, and
-    /// ephemeral-value units from ground truth) against the partition:
-    /// how many are contained in a single shard vs straddle a boundary.
-    pub fn unit_census(&self) -> UnitCensus {
-        // Ordered map keyed by (unit kind, unit id); values record the
-        // first shard seen and whether a second shard ever appeared.
-        let mut units: BTreeMap<(u8, usize), (usize, bool)> = BTreeMap::new();
-        for (i, domain) in self.domains.iter().enumerate() {
-            let shard = self.plan.shard_of(i);
-            let Some(truth) = self.pop.truth.get(domain) else {
-                continue;
-            };
-            for (kind, unit) in [
-                (0u8, truth.cache_unit),
-                (1u8, truth.stek_unit),
-                (2u8, truth.dh_unit),
-            ] {
-                if let Some(u) = unit {
-                    let e = units.entry((kind, u)).or_insert((shard, false));
-                    if e.0 != shard {
-                        e.1 = true;
-                    }
-                }
-            }
-        }
-        let mut census = UnitCensus::default();
-        for (_, (_, straddles)) in units {
-            if straddles {
-                census.straddling += 1;
-            } else {
-                census.contained += 1;
-            }
-        }
-        census
     }
 }
 
@@ -190,31 +131,5 @@ mod tests {
             zone0.lookup_all(foreign).is_none(),
             "{foreign} belongs to another shard"
         );
-    }
-
-    #[test]
-    fn unit_census_sees_the_cdn_straddle() {
-        let p = pop();
-        let domains = core_list(p);
-        let shards = PopulationShards::new(p, &domains);
-        let census = shards.unit_census();
-        assert!(census.total() > 0, "operators create shared units");
-        // The CDN analogue alone spans far more domains than one shard
-        // holds at this size, so at least one unit must straddle.
-        assert!(census.straddling > 0, "{census:?}");
-        assert!(census.contained > 0, "{census:?}");
-    }
-
-    #[test]
-    fn single_shard_list_has_no_straddlers() {
-        let p = pop();
-        // Under the count-derived layout a list of length 1 is the only
-        // genuinely single-shard partition (chunk_size is 1 for short
-        // lists, so a 10-domain list already spans 10 shards).
-        let domains: Vec<String> = core_list(p).into_iter().take(1).collect();
-        let shards = PopulationShards::new(p, &domains);
-        assert_eq!(shards.shard_count(), 1);
-        let census = shards.unit_census();
-        assert_eq!(census.straddling, 0);
     }
 }

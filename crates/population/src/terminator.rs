@@ -11,7 +11,6 @@ use crate::profile::DomainBehavior;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use ts_crypto::dh::DhGroup;
 use ts_simnet::TlsResponder;
 use ts_tls::cache::SharedSessionCache;
 use ts_tls::config::{ServerConfig, ServerIdentity};
@@ -36,8 +35,6 @@ pub struct Terminator {
     pub stek: Option<SharedStekManager>,
     /// Shared ephemeral-value cache.
     pub ephemeral: EphemeralCache,
-    /// DH group served by DHE suites here.
-    pub dh_group: DhGroup,
     // Ordered: wildcard routing scans this map with `find`, so when two
     // wildcard patterns both match an SNI the winner must not depend on
     // the process's hash seed.
@@ -55,7 +52,6 @@ impl Terminator {
             session_cache,
             stek,
             ephemeral,
-            dh_group: DhGroup::Sim256,
             vhosts: RwLock::new(BTreeMap::new()),
         }
     }
@@ -66,11 +62,6 @@ impl Terminator {
         self.vhosts
             .write()
             .insert(domain.to_ascii_lowercase(), Arc::new(vhost));
-    }
-
-    /// Number of virtual hosts.
-    pub fn vhost_count(&self) -> usize {
-        self.vhosts.read().len()
     }
 
     /// The domains served here (in name order — the map is ordered).
@@ -116,7 +107,6 @@ impl TlsResponder for Terminator {
             ticket_accept_window: b.tickets.accept_window,
             reissue_ticket_on_resumption: b.tickets.reissue,
             ephemeral: self.ephemeral.clone(),
-            dh_group: self.dh_group,
         })
     }
 }
@@ -125,6 +115,7 @@ impl TlsResponder for Terminator {
 mod tests {
     use super::*;
     use crate::profile::{CachePolicy, Software, TicketPolicy};
+    use ts_crypto::dh::DhGroup;
     use ts_crypto::drbg::HmacDrbg;
     use ts_crypto::rsa::RsaPrivateKey;
     use ts_tls::ephemeral::EphemeralPolicy;
@@ -218,7 +209,6 @@ mod tests {
         assert!(t.server_config("blog.pages.sim", 0).is_some());
         assert!(t.server_config("deep.blog.pages.sim", 0).is_none());
         assert!(t.server_config("b.sim", 0).is_none());
-        assert_eq!(t.vhost_count(), 2);
         assert_eq!(
             t.domains(),
             vec!["*.pages.sim".to_string(), "a.sim".to_string()]

@@ -40,28 +40,10 @@ pub enum BurstMetric {
     StekIds,
 }
 
-/// Run a burst scan over `domains` at time `now`.
-///
-/// Returns per-domain summaries plus the aggregate funnel.
-pub fn burst_scan(
-    scanner: &mut Scanner,
-    domains: &[String],
-    now: u64,
-    offer: SuiteOffer,
-    metric: BurstMetric,
-    connections: u32,
-) -> (Vec<BurstSummary>, BurstFunnel) {
-    let mut summaries = Vec::with_capacity(domains.len());
-    let funnel = burst_scan_streaming(scanner, domains, now, offer, metric, connections, |s| {
-        summaries.push(s)
-    });
-    (summaries, funnel)
-}
-
-/// Run a burst scan, handing each per-domain summary to `on_summary` as
-/// it is produced instead of collecting a vector. Same scan sequence as
-/// [`burst_scan`]; callers that only need the funnel (Table 1) drop the
-/// summaries at the source.
+/// Run a burst scan over `domains` at time `now`, handing each per-domain
+/// summary to `on_summary` as it is produced, and return the aggregate
+/// funnel. Callers that only need the funnel (Table 1) drop the summaries
+/// at the source.
 pub fn burst_scan_streaming(
     scanner: &mut Scanner,
     domains: &[String],
@@ -161,13 +143,15 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "burst-static");
         let domains = vec!["yahoo.sim".to_string()];
-        let (summaries, funnel) = burst_scan(
+        let mut summaries = Vec::new();
+        let funnel = burst_scan_streaming(
             &mut s,
             &domains,
             5_000,
             SuiteOffer::All,
             BurstMetric::StekIds,
             10,
+            |x| summaries.push(x),
         );
         assert_eq!(funnel.trusted_tls, 1);
         assert_eq!(funnel.supported, 1);
@@ -181,13 +165,15 @@ mod tests {
         // whatsapp.sim reuses its ECDHE value for 62 days.
         let mut s = Scanner::new(p, "burst-reuse");
         let domains = vec!["whatsapp.sim".to_string()];
-        let (summaries, funnel) = burst_scan(
+        let mut summaries = Vec::new();
+        let funnel = burst_scan_streaming(
             &mut s,
             &domains,
             5_000,
             SuiteOffer::EcdheOnly,
             BurstMetric::KexValues,
             10,
+            |x| summaries.push(x),
         );
         assert_eq!(funnel.supported, 1);
         assert_eq!(funnel.all_same, 1);
@@ -200,13 +186,15 @@ mod tests {
         // twitter.sim has fresh ephemeral values.
         let mut s = Scanner::new(p, "burst-fresh");
         let domains = vec!["twitter.sim".to_string()];
-        let (summaries, funnel) = burst_scan(
+        let mut summaries = Vec::new();
+        let funnel = burst_scan_streaming(
             &mut s,
             &domains,
             5_000,
             SuiteOffer::EcdheOnly,
             BurstMetric::KexValues,
             10,
+            |x| summaries.push(x),
         );
         assert_eq!(funnel.supported, 1);
         assert_eq!(funnel.repeat_twice, 0, "fresh values never repeat");
@@ -219,13 +207,14 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "burst-funnel");
         let domains: Vec<String> = p.churn.core().iter().take(60).cloned().collect();
-        let (_, funnel) = burst_scan(
+        let funnel = burst_scan_streaming(
             &mut s,
             &domains,
             5_000,
             SuiteOffer::All,
             BurstMetric::StekIds,
             4,
+            |_| {},
         );
         assert!(funnel.listed >= funnel.non_blacklisted);
         assert!(funnel.non_blacklisted >= funnel.trusted_tls);
@@ -240,22 +229,24 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "burst-dhe");
         let domains: Vec<String> = p.churn.core().iter().take(60).cloned().collect();
-        let (_, dhe) = burst_scan(
+        let dhe = burst_scan_streaming(
             &mut s,
             &domains,
             6_000,
             SuiteOffer::DheOnly,
             BurstMetric::KexValues,
             3,
+            |_| {},
         );
         let mut s = Scanner::new(p, "burst-ecdhe");
-        let (_, ecdhe) = burst_scan(
+        let ecdhe = burst_scan_streaming(
             &mut s,
             &domains,
             6_000,
             SuiteOffer::EcdheOnly,
             BurstMetric::KexValues,
             3,
+            |_| {},
         );
         // Table 1 ordering: ECDHE support exceeds DHE support.
         assert!(

@@ -10,9 +10,7 @@
 
 use crate::grab::{GrabOptions, KexObservation, Scanner, SuiteOffer};
 use std::collections::BTreeMap;
-use ts_core::groups::ServiceGroup;
 use ts_core::observations::{KexKind, KexSighting, SharingEdge, SharingKind, TicketSighting};
-use ts_core::stream::GroupAcc;
 use ts_simnet::Ip;
 use ts_tls::server::ResumeKind;
 
@@ -47,38 +45,10 @@ pub fn build_targets(scanner: &Scanner, domains: &[String]) -> Vec<Target> {
         .collect()
 }
 
-/// §5.1: cross-domain session-ID probing. Returns the resulting service
-/// groups plus the raw sharing edges.
-pub fn session_cache_groups(
-    scanner: &mut Scanner,
-    targets: &[Target],
-    now: u64,
-    per_domain_samples: usize,
-) -> (Vec<ServiceGroup>, Vec<SharingEdge>) {
-    let mut edges = Vec::new();
-    let mut resuming: Vec<String> = Vec::new();
-    session_cache_scan_streaming(
-        scanner,
-        targets,
-        now,
-        per_domain_samples,
-        |d| resuming.push(d.to_string()),
-        |e| edges.push(e),
-    );
-    let mut acc = GroupAcc::exact();
-    for domain in &resuming {
-        acc.add(domain);
-    }
-    for e in &edges {
-        acc.link(&e.a, &e.b);
-    }
-    (acc.service_groups(), edges)
-}
-
-/// §5.1 streaming form: `on_resuming` fires once per domain that resumes
-/// its own session (the grouping universe), `on_edge` once per observed
-/// cross-domain resumption. Probe order is identical to
-/// [`session_cache_groups`], which is now this plus a collector.
+/// §5.1: cross-domain session-ID probing. `on_resuming` fires once per
+/// domain that resumes its own session (the grouping universe), `on_edge`
+/// once per observed cross-domain resumption; grouping is left to the
+/// caller's accumulator.
 pub fn session_cache_scan_streaming(
     scanner: &mut Scanner,
     targets: &[Target],
@@ -162,36 +132,10 @@ pub fn session_cache_scan_streaming(
     }
 }
 
-/// §5.2: STEK sharing. Ten connections across `window_secs`, then one more
-/// after `snapshot_offset`; groups from shared identifiers.
-pub fn stek_sharing_scan(
-    scanner: &mut Scanner,
-    targets: &[Target],
-    now: u64,
-    window_secs: u64,
-    connections: u32,
-    snapshot_offset: u64,
-) -> (Vec<ServiceGroup>, Vec<TicketSighting>) {
-    let mut sightings = Vec::new();
-    stek_sharing_scan_streaming(
-        scanner,
-        targets,
-        now,
-        window_secs,
-        connections,
-        snapshot_offset,
-        |s| sightings.push(s),
-    );
-    let mut acc = GroupAcc::exact();
-    for s in &sightings {
-        acc.record(&s.domain, &s.stek_id, s.day);
-    }
-    (acc.service_groups(), sightings)
-}
-
-/// §5.2 streaming form: each ticket sighting goes to `on_sighting` as it
-/// is observed (same grab order as [`stek_sharing_scan`]); grouping is
-/// left to the caller's accumulator.
+/// §5.2: STEK sharing. `connections` grabs across `window_secs`, then one
+/// more after `snapshot_offset`. Each ticket sighting goes to
+/// `on_sighting` as it is observed; grouping by shared identifier is left
+/// to the caller's accumulator.
 pub fn stek_sharing_scan_streaming(
     scanner: &mut Scanner,
     targets: &[Target],
@@ -233,28 +177,7 @@ pub fn stek_sharing_scan_streaming(
 }
 
 /// §5.3: Diffie-Hellman value sharing, DHE-only plus ECDHE-only offers.
-pub fn dh_sharing_scan(
-    scanner: &mut Scanner,
-    targets: &[Target],
-    now: u64,
-    window_secs: u64,
-    connections: u32,
-) -> (Vec<ServiceGroup>, Vec<KexSighting>) {
-    let mut sightings = Vec::new();
-    dh_sharing_scan_streaming(scanner, targets, now, window_secs, connections, |s| {
-        sightings.push(s)
-    });
-    // Both flavours in one accumulator: the paper groups them together
-    // in Table 7.
-    let mut acc = GroupAcc::exact();
-    for s in &sightings {
-        acc.record(&s.domain, &s.value_fp, s.day);
-    }
-    (acc.service_groups(), sightings)
-}
-
-/// §5.3 streaming form: each key-exchange sighting goes to `on_sighting`
-/// as it is observed (same grab order as [`dh_sharing_scan`]).
+/// Each key-exchange sighting goes to `on_sighting` as it is observed.
 pub fn dh_sharing_scan_streaming(
     scanner: &mut Scanner,
     targets: &[Target],
@@ -293,7 +216,30 @@ pub fn dh_sharing_scan_streaming(
 mod tests {
     use super::*;
     use std::sync::OnceLock;
+    use ts_core::groups::ServiceGroup;
+    use ts_core::stream::GroupAcc;
     use ts_population::{Population, PopulationConfig};
+
+    /// Table 5's grouping: every target, linked by cross-domain resumption.
+    fn cache_groups(s: &mut Scanner, targets: &[Target]) -> (Vec<ServiceGroup>, usize) {
+        let mut acc = GroupAcc::exact();
+        for t in targets {
+            acc.add(&t.domain);
+        }
+        let mut edges = 0;
+        session_cache_scan_streaming(
+            s,
+            targets,
+            9_000,
+            5,
+            |_| {},
+            |e| {
+                acc.link(&e.a, &e.b);
+                edges += 1;
+            },
+        );
+        (acc.service_groups(), edges)
+    }
 
     fn pop() -> &'static Population {
         static POP: OnceLock<Population> = OnceLock::new();
@@ -341,8 +287,8 @@ mod tests {
         let domains = operator_domains(p, "fastlane", 4);
         assert!(domains.len() >= 2, "need at least 2 fastlane domains");
         let targets = build_targets(&mut s, &domains);
-        let (groups, edges) = session_cache_groups(&mut s, &targets, 9_000, 5);
-        assert!(!edges.is_empty(), "cross-domain resumption observed");
+        let (groups, edges) = cache_groups(&mut s, &targets);
+        assert!(edges > 0, "cross-domain resumption observed");
         assert_eq!(groups[0].size(), domains.len(), "one big group");
     }
 
@@ -352,8 +298,8 @@ mod tests {
         let mut s = Scanner::new(p, "xd-separate");
         let domains = vec!["yahoo.sim".to_string(), "netflix.sim".to_string()];
         let targets = build_targets(&mut s, &domains);
-        let (groups, edges) = session_cache_groups(&mut s, &targets, 9_000, 5);
-        assert!(edges.is_empty());
+        let (groups, edges) = cache_groups(&mut s, &targets);
+        assert_eq!(edges, 0);
         assert!(groups.iter().all(|g| g.size() == 1));
     }
 
@@ -364,9 +310,11 @@ mod tests {
         let mut domains = operator_domains(p, "teemall", 3);
         domains.push("yahoo.sim".into());
         let targets = build_targets(&mut s, &domains);
-        let (groups, sightings) =
-            stek_sharing_scan(&mut s, &targets, 20_000, 6 * 3_600, 10, 30 * 60);
-        assert!(!sightings.is_empty());
+        let mut acc = GroupAcc::exact();
+        stek_sharing_scan_streaming(&mut s, &targets, 20_000, 6 * 3_600, 10, 30 * 60, |x| {
+            acc.record(&x.domain, &x.stek_id, x.day)
+        });
+        let groups = acc.service_groups();
         assert_eq!(groups[0].size(), 3, "teemall shares one STEK");
         assert!(groups
             .iter()
@@ -380,7 +328,11 @@ mod tests {
         let mut domains = operator_domains(p, "rhombusspace", 3);
         domains.push("twitter.sim".into());
         let targets = build_targets(&mut s, &domains);
-        let (groups, _sightings) = dh_sharing_scan(&mut s, &targets, 30_000, 3_600, 4);
+        let mut acc = GroupAcc::exact();
+        dh_sharing_scan_streaming(&mut s, &targets, 30_000, 3_600, 4, |x| {
+            acc.record(&x.domain, &x.value_fp, x.day)
+        });
+        let groups = acc.service_groups();
         // rhombusspace shares an ECDHE value (3-day reuse policy).
         assert_eq!(groups[0].size(), 3, "{groups:?}");
     }

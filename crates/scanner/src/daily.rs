@@ -50,15 +50,14 @@ impl Default for CampaignOptions {
     }
 }
 
-/// The sightings a campaign produced.
+/// A sink that keeps every sighting a campaign produced, for small
+/// campaigns whose observations are inspected one by one.
 #[derive(Debug, Default, Clone)]
 pub struct CampaignData {
     /// (domain, day, STEK id) sightings.
     pub tickets: Vec<TicketSighting>,
     /// (domain, day, KEX value) sightings, both flavours.
     pub kex: Vec<KexSighting>,
-    /// Handshake attempts made (for throughput reporting).
-    pub attempts: u64,
 }
 
 /// Consumer of campaign observations, invoked as the scan produces them.
@@ -86,11 +85,9 @@ impl CampaignSink for CampaignData {
     }
 }
 
-/// Run a daily campaign, draining observations into `sink` as each grab
-/// completes. Returns the number of handshake attempts made.
-///
-/// Identical grab sequence and observation stream to [`run_campaign`] —
-/// that function is now this one with a [`CampaignData`] sink.
+/// Run a daily campaign over the per-day list `domains_for_day` selects,
+/// draining observations into `sink` as each grab completes. Returns the
+/// number of handshake attempts made.
 pub fn run_campaign_streaming(
     scanner: &mut Scanner,
     options: &CampaignOptions,
@@ -150,22 +147,6 @@ pub fn run_campaign_streaming(
     attempts
 }
 
-/// Run a daily campaign over the population's per-day list.
-///
-/// `domains_for_day` selects targets (e.g. the full list, or the stable
-/// core); the default campaign scans whatever the churned list contains,
-/// and analysis filters to the core afterwards — exactly the paper's flow.
-pub fn run_campaign(
-    scanner: &mut Scanner,
-    options: &CampaignOptions,
-    domains_for_day: impl FnMut(u64) -> Vec<String>,
-) -> CampaignData {
-    let mut data = CampaignData::default();
-    let attempts = run_campaign_streaming(scanner, options, domains_for_day, &mut data);
-    data.attempts = attempts;
-    data
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,11 +172,20 @@ mod tests {
         est.domain_spans()
     }
 
-    fn mini_campaign(days: std::ops::Range<u64>, targets: Vec<String>) -> CampaignData {
-        let p = pop();
-        let mut s = Scanner::new(p, "daily-test");
+    fn campaign(
+        scanner: &mut Scanner,
+        days: std::ops::Range<u64>,
+        targets: Vec<String>,
+    ) -> (CampaignData, u64) {
+        let mut data = CampaignData::default();
         let options = CampaignOptions::new().days(days);
-        run_campaign(&mut s, &options, move |_day| targets.clone())
+        let attempts =
+            run_campaign_streaming(scanner, &options, move |_day| targets.clone(), &mut data);
+        (data, attempts)
+    }
+
+    fn mini_campaign(days: std::ops::Range<u64>, targets: Vec<String>) -> CampaignData {
+        campaign(&mut Scanner::new(pop(), "daily-test"), days, targets).0
     }
 
     #[test]
@@ -214,8 +204,7 @@ mod tests {
         cfg.flakiness = 0.0;
         let p = Population::build(cfg);
         let mut s = Scanner::new(&p, "daily-rotate");
-        let options = CampaignOptions::new().days(0..6);
-        let data = run_campaign(&mut s, &options, |_day| vec!["twitter.sim".into()]);
+        let (data, _) = campaign(&mut s, 0..6, vec!["twitter.sim".into()]);
         let spans = stek_spans(&data);
         assert_eq!(spans["twitter.sim"].max_span_days, 1, "fresh STEK daily");
         assert_eq!(spans["twitter.sim"].distinct_ids, 6);
@@ -278,8 +267,7 @@ mod tests {
         let targets = world.core_trusted();
         let days = 0..4;
         let mut scanner = Scanner::new(&world, "daily-parity");
-        let options = CampaignOptions::new().days(days.clone());
-        let data = run_campaign(&mut scanner, &options, |_day| targets.clone());
+        let (data, _) = campaign(&mut scanner, days.clone(), targets.clone());
 
         let mut full = CampaignData::default();
         let mut scanner = Scanner::new(&full_world, "daily-parity");
@@ -339,7 +327,8 @@ mod tests {
 
     #[test]
     fn attempts_counted() {
-        let data = mini_campaign(0..2, vec!["yahoo.sim".into()]);
-        assert_eq!(data.attempts, 2 * 3, "3 grabs per domain-day");
+        let mut s = Scanner::new(pop(), "daily-test");
+        let (_, attempts) = campaign(&mut s, 0..2, vec!["yahoo.sim".into()]);
+        assert_eq!(attempts, 2 * 3, "3 grabs per domain-day");
     }
 }

@@ -71,129 +71,56 @@ impl ProbeSchedule {
     }
 }
 
-/// Probe how long `domain` honours session-ID resumption starting at `t0`.
-pub fn probe_session_id(
+/// Probe how long `domain` honours `mechanism` starting at `t0`: the
+/// sequential, one-domain form of the lockstep probe Figures 1 and 2 run.
+/// For tickets, every attempt presents the *original* ticket.
+pub fn probe_resumption(
     scanner: &mut Scanner,
     domain: &str,
+    mechanism: ResumptionMechanism,
     t0: u64,
     schedule: &ProbeSchedule,
 ) -> ResumptionProbe {
-    PROBE_SESSION_ID.inc();
-    let initial = scanner.grab(domain, t0, &GrabOptions::new());
-    let obs = match initial.ok() {
-        Some(o) => o.clone(),
-        None => {
-            return ResumptionProbe {
-                domain: domain.into(),
-                mechanism: ResumptionMechanism::SessionId,
-                supported: false,
-                resumed_at_1s: false,
-                max_delay: None,
-                lifetime_hint: None,
-            }
-        }
+    let (counter, want) = match mechanism {
+        ResumptionMechanism::SessionId => (&PROBE_SESSION_ID, ResumeKind::SessionId),
+        ResumptionMechanism::Ticket => (&PROBE_TICKET, ResumeKind::Ticket),
     };
-    let supported = !obs.session_id.is_empty();
-    let mut max_delay = None;
-    let mut resumed_at_1s = false;
-    if supported {
-        for delay in schedule.delays() {
-            let opts =
-                GrabOptions::new().resume_session(obs.session_id.clone(), obs.session.clone());
-            let g = scanner.grab(domain, t0 + delay, &opts);
-            let resumed = g
-                .ok()
-                .map(|o| o.resumed == Some(ResumeKind::SessionId))
-                .unwrap_or(false);
-            if resumed {
-                if delay == FIRST_DELAY {
-                    resumed_at_1s = true;
-                }
-                max_delay = Some(delay);
-            } else {
-                break;
-            }
-        }
-    }
-    if let Some(d) = max_delay {
-        PROBE_MAX_DELAY.observe(d);
-    }
-    ResumptionProbe {
+    counter.inc();
+    let mut probe = ResumptionProbe {
         domain: domain.into(),
-        mechanism: ResumptionMechanism::SessionId,
-        supported,
-        resumed_at_1s,
-        max_delay,
+        mechanism,
+        supported: false,
+        resumed_at_1s: false,
+        max_delay: None,
         lifetime_hint: None,
-    }
-}
-
-/// Probe how long `domain` honours the *original* session ticket.
-pub fn probe_ticket(
-    scanner: &mut Scanner,
-    domain: &str,
-    t0: u64,
-    schedule: &ProbeSchedule,
-) -> ResumptionProbe {
-    PROBE_TICKET.inc();
+    };
     let initial = scanner.grab(domain, t0, &GrabOptions::new());
-    let obs = match initial.ok() {
-        Some(o) => o.clone(),
-        None => {
-            return ResumptionProbe {
-                domain: domain.into(),
-                mechanism: ResumptionMechanism::Ticket,
-                supported: false,
-                resumed_at_1s: false,
-                max_delay: None,
-                lifetime_hint: None,
-            }
-        }
+    let Some(obs) = initial.ok() else {
+        return probe;
     };
-    let original_ticket = match obs.ticket.clone() {
-        Some(nst) => nst,
-        None => {
-            return ResumptionProbe {
-                domain: domain.into(),
-                mechanism: ResumptionMechanism::Ticket,
-                supported: false,
-                resumed_at_1s: false,
-                max_delay: None,
-                lifetime_hint: None,
-            }
+    let resume = match (mechanism, &obs.ticket) {
+        (ResumptionMechanism::SessionId, _) if !obs.session_id.is_empty() => {
+            GrabOptions::new().resume_session(obs.session_id.clone(), obs.session.clone())
         }
+        (ResumptionMechanism::Ticket, Some(nst)) => {
+            probe.lifetime_hint = Some(nst.lifetime_hint);
+            GrabOptions::new().resume_ticket(nst.ticket.clone(), obs.session.clone())
+        }
+        _ => return probe,
     };
-    let mut max_delay = None;
-    let mut resumed_at_1s = false;
+    probe.supported = true;
     for delay in schedule.delays() {
-        // Always the ORIGINAL ticket, ignoring reissues (§4.2).
-        let opts =
-            GrabOptions::new().resume_ticket(original_ticket.ticket.clone(), obs.session.clone());
-        let g = scanner.grab(domain, t0 + delay, &opts);
-        let resumed = g
-            .ok()
-            .map(|o| o.resumed == Some(ResumeKind::Ticket))
-            .unwrap_or(false);
-        if resumed {
-            if delay == FIRST_DELAY {
-                resumed_at_1s = true;
-            }
-            max_delay = Some(delay);
-        } else {
+        let g = scanner.grab(domain, t0 + delay, &resume);
+        if !g.ok().is_some_and(|o| o.resumed == Some(want)) {
             break;
         }
+        probe.resumed_at_1s |= delay == FIRST_DELAY;
+        probe.max_delay = Some(delay);
     }
-    if let Some(d) = max_delay {
+    if let Some(d) = probe.max_delay {
         PROBE_MAX_DELAY.observe(d);
     }
-    ResumptionProbe {
-        domain: domain.into(),
-        mechanism: ResumptionMechanism::Ticket,
-        supported: true,
-        resumed_at_1s,
-        max_delay,
-        lifetime_hint: Some(original_ticket.lifetime_hint),
-    }
+    probe
 }
 
 #[cfg(test)]
@@ -225,9 +152,10 @@ mod tests {
         let p = pop();
         // Notables have a 5-minute session cache.
         let mut s = Scanner::new(p, "probe-sid");
-        let probe = probe_session_id(
+        let probe = probe_resumption(
             &mut s,
             "yahoo.sim",
+            ResumptionMechanism::SessionId,
             10_000,
             &ProbeSchedule::coarse(150, 1_200),
         );
@@ -242,9 +170,10 @@ mod tests {
         let p = pop();
         // Notables: ticket hint 1h, accept 1h.
         let mut s = Scanner::new(p, "probe-ticket");
-        let probe = probe_ticket(
+        let probe = probe_resumption(
             &mut s,
             "netflix.sim",
+            ResumptionMechanism::Ticket,
             10_000,
             &ProbeSchedule::coarse(1_200, 7_200),
         );
@@ -263,7 +192,13 @@ mod tests {
             .find(|t| !t.https && t.stable && !t.blacklisted)
             .expect("non-https domain");
         let mut s = Scanner::new(p, "probe-dead");
-        let probe = probe_session_id(&mut s, &dead.name, 10_000, &ProbeSchedule::coarse(300, 600));
+        let probe = probe_resumption(
+            &mut s,
+            &dead.name,
+            ResumptionMechanism::SessionId,
+            10_000,
+            &ProbeSchedule::coarse(300, 600),
+        );
         assert!(!probe.supported);
         assert_eq!(probe.max_delay, None);
     }
@@ -278,9 +213,10 @@ mod tests {
             .expect("cdn domain");
         let mut s = Scanner::new(p, "probe-18h");
         // Coarse 6h steps: 1s, 6h, 12h, 18h pass; 24h fails.
-        let probe = probe_ticket(
+        let probe = probe_resumption(
             &mut s,
             &cdn.name,
+            ResumptionMechanism::Ticket,
             50_000,
             &ProbeSchedule::coarse(6 * 3_600, 24 * 3_600),
         );

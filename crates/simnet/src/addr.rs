@@ -11,19 +11,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ip(pub u32);
 
-impl Ip {
-    /// Dotted-quad rendering.
-    pub fn to_string_quad(self) -> String {
-        let b = self.0.to_be_bytes();
-        format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3])
-    }
-
-    /// The /24 prefix (the granularity Table 5's CIDR observation uses).
-    pub fn slash24(self) -> u32 {
-        self.0 >> 8
-    }
-}
-
 /// An autonomous-system number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsId(pub u32);
@@ -81,11 +68,6 @@ impl AsPlan {
     pub fn as_of(&self, ip: Ip) -> Option<AsId> {
         self.as_of_ip.get(&(ip.0 >> 16)).copied()
     }
-
-    /// Number of allocated ASes.
-    pub fn as_count(&self) -> usize {
-        self.next_as_index as usize
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +88,6 @@ mod tests {
         assert_eq!(plan.as_of(ip_a2), Some(a));
         assert_eq!(plan.as_of(ip_b1), Some(b));
         assert_eq!(plan.as_of(Ip(0x01020304)), None);
-        assert_eq!(plan.as_count(), 2);
     }
 
     #[test]
@@ -128,12 +109,5 @@ mod tests {
             assert!(prefixes.insert(ip.0 >> 16), "prefix collision for {a:?}");
             assert_eq!(plan.as_of(ip), Some(a));
         }
-    }
-
-    #[test]
-    fn dotted_quad_and_slash24() {
-        let ip = Ip(0x0a010203);
-        assert_eq!(ip.to_string_quad(), "10.1.2.3");
-        assert_eq!(ip.slash24(), 0x0a0102);
     }
 }

@@ -41,21 +41,9 @@ impl Clock {
         self.now += secs;
     }
 
-    /// Advance to an absolute time (no-op if already past).
-    pub fn advance_to(&mut self, t: u64) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
     /// Day index (0-based).
     pub fn day(&self) -> u64 {
         self.now / DAY
-    }
-
-    /// Seconds since local midnight.
-    pub fn time_of_day(&self) -> u64 {
-        self.now % DAY
     }
 }
 
@@ -63,24 +51,6 @@ impl Default for Clock {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Render a duration in the paper's figure units ("5 minutes", "24 hours",
-/// "63 days") for report output.
-pub fn human_duration(secs: u64) -> String {
-    if secs == 0 {
-        return "0s".into();
-    }
-    if secs % DAY == 0 {
-        return format!("{}d", secs / DAY);
-    }
-    if secs % HOUR == 0 {
-        return format!("{}h", secs / HOUR);
-    }
-    if secs % MINUTE == 0 {
-        return format!("{}m", secs / MINUTE);
-    }
-    format!("{secs}s")
 }
 
 #[cfg(test)]
@@ -96,29 +66,7 @@ mod tests {
         assert_eq!(c.day(), 0);
         c.advance(1);
         assert_eq!(c.day(), 1);
-        assert_eq!(c.time_of_day(), 0);
         c.advance(HOUR * 3 + 30);
-        assert_eq!(c.time_of_day(), HOUR * 3 + 30);
-    }
-
-    #[test]
-    fn advance_to_is_monotone() {
-        let mut c = Clock::at(100);
-        c.advance_to(50);
-        assert_eq!(c.now(), 100);
-        c.advance_to(200);
-        assert_eq!(c.now(), 200);
-    }
-
-    #[test]
-    fn human_durations() {
-        assert_eq!(human_duration(0), "0s");
-        assert_eq!(human_duration(45), "45s");
-        assert_eq!(human_duration(300), "5m");
-        assert_eq!(human_duration(HOUR), "1h");
-        assert_eq!(human_duration(18 * HOUR), "18h");
-        assert_eq!(human_duration(DAY), "1d");
-        assert_eq!(human_duration(63 * DAY), "63d");
-        assert_eq!(human_duration(90061), "90061s");
+        assert_eq!(c.now(), DAY + HOUR * 3 + 30);
     }
 }

@@ -12,7 +12,7 @@
 //!   jitter source §4.3 discusses), MX records (the §7.2 Google-SMTP
 //!   analysis), and churn-able zones
 //! * [`net`] — the network itself: IPs bound to [`TlsResponder`]s (SSL
-//!   terminators), per-endpoint reliability, and a [`SimNet::connect`]
+//!   terminators), network-wide transient failures, and a [`SimNet::connect`]
 //!   that runs a real TLS handshake from the `ts-tls` stack and returns
 //!   both the client connection and a passive wire capture
 //!

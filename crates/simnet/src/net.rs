@@ -79,10 +79,8 @@ pub struct Connection {
 /// The simulated network.
 pub struct SimNet {
     responders: HashMap<Ip, Arc<dyn TlsResponder>>,
-    /// Per-IP probability a connection transiently fails.
-    flakiness: HashMap<Ip, f64>,
-    /// Default flakiness for IPs without an override.
-    default_flakiness: f64,
+    /// Probability a connection transiently fails.
+    flakiness: f64,
 }
 
 impl Default for SimNet {
@@ -96,29 +94,18 @@ impl SimNet {
     pub fn new() -> Self {
         SimNet {
             responders: HashMap::new(),
-            flakiness: HashMap::new(),
-            default_flakiness: 0.0,
+            flakiness: 0.0,
         }
     }
 
     /// Set the network-wide default transient-failure probability.
     pub fn set_default_flakiness(&mut self, p: f64) {
-        self.default_flakiness = p.clamp(0.0, 1.0);
-    }
-
-    /// Override flakiness for one IP.
-    pub fn set_flakiness(&mut self, ip: Ip, p: f64) {
-        self.flakiness.insert(ip, p.clamp(0.0, 1.0));
+        self.flakiness = p.clamp(0.0, 1.0);
     }
 
     /// Bind a responder to an IP (replaces any previous binding).
     pub fn bind(&mut self, ip: Ip, responder: Arc<dyn TlsResponder>) {
         self.responders.insert(ip, responder);
-    }
-
-    /// Remove a binding.
-    pub fn unbind(&mut self, ip: Ip) {
-        self.responders.remove(&ip);
     }
 
     /// Number of bound IPs.
@@ -199,12 +186,7 @@ impl SimNet {
                 return Err(ConnectError::Refused);
             }
         };
-        let p_fail = self
-            .flakiness
-            .get(&ip)
-            .copied()
-            .unwrap_or(self.default_flakiness);
-        if p_fail > 0.0 && rng.gen_bool(p_fail) {
+        if self.flakiness > 0.0 && rng.gen_bool(self.flakiness) {
             count_outcome(&CONNECT_FLAKY_DROP, "flaky-drop");
             return Err(ConnectError::Timeout);
         }
@@ -385,7 +367,7 @@ mod tests {
     #[test]
     fn flakiness_injects_timeouts() {
         let (mut net, store) = setup();
-        net.set_flakiness(Ip(100), 1.0);
+        net.set_default_flakiness(1.0);
         let mut rng = HmacDrbg::new(b"flaky");
         let cfg = ClientConfig::new(store.clone(), "host.sim", 100);
         assert!(matches!(
@@ -393,7 +375,7 @@ mod tests {
             Err(ConnectError::Timeout)
         ));
         // Partial flakiness: some succeed, some fail.
-        net.set_flakiness(Ip(100), 0.5);
+        net.set_default_flakiness(0.5);
         let mut ok = 0;
         let mut timeout = 0;
         for i in 0..40 {
@@ -406,19 +388,6 @@ mod tests {
         }
         assert!(ok > 5, "some succeed ({ok})");
         assert!(timeout > 5, "some time out ({timeout})");
-    }
-
-    #[test]
-    fn unbind_refuses_future_connections() {
-        let (mut net, store) = setup();
-        net.unbind(Ip(100));
-        assert!(net.is_empty());
-        let mut rng = HmacDrbg::new(b"unbind");
-        let cfg = ClientConfig::new(store, "host.sim", 100);
-        assert!(matches!(
-            net.connect(Ip(100), cfg, 100, &mut rng),
-            Err(ConnectError::Refused)
-        ));
     }
 
     #[test]

@@ -109,14 +109,6 @@ impl Alert {
         }
     }
 
-    /// The close_notify warning.
-    pub fn close_notify() -> Self {
-        Alert {
-            level: AlertLevel::Warning,
-            description: AlertDescription::CloseNotify,
-        }
-    }
-
     /// Encode to two bytes.
     pub fn encode(&self) -> [u8; 2] {
         [self.level.to_byte(), self.description.to_byte()]

@@ -12,7 +12,6 @@ use crate::session::SessionState;
 use crate::suites::CipherSuite;
 use crate::ticket::SharedStekManager;
 use std::sync::Arc;
-use ts_crypto::dh::DhGroup;
 use ts_crypto::rsa::RsaPrivateKey;
 use ts_x509::{Certificate, RootStore};
 
@@ -46,10 +45,9 @@ pub struct ServerConfig {
     pub ticket_accept_window: u64,
     /// Reissue a fresh ticket on successful ticket resumption?
     pub reissue_ticket_on_resumption: bool,
-    /// Ephemeral key-exchange value cache (holds the reuse policy).
+    /// Ephemeral key-exchange value cache (holds the reuse policy and the
+    /// finite-field group for DHE suites).
     pub ephemeral: EphemeralCache,
-    /// Finite-field group for DHE suites.
-    pub dh_group: DhGroup,
 }
 
 impl ServerConfig {
@@ -66,7 +64,6 @@ impl ServerConfig {
             ticket_accept_window: 300,
             reissue_ticket_on_resumption: false,
             ephemeral,
-            dh_group: DhGroup::Sim256,
         }
     }
 }

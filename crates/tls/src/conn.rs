@@ -5,9 +5,9 @@
 //! two explicit ports — [`ConnectionCommon::read_tls`] (transport →
 //! connection) and [`ConnectionCommon::write_tls`] (connection →
 //! transport) — then call `process_new_packets()` on the concrete
-//! connection type to advance the handshake. [`ConnectionCommon::wants_read`]
-//! / [`ConnectionCommon::wants_write`] tell an event loop what to poll
-//! for, and [`IoState`] summarises what a processing step produced.
+//! connection type to advance the handshake. [`ConnectionCommon::wants_write`]
+//! tells an event loop when to poll for writability, and [`IoState`]
+//! summarises what a processing step produced.
 //!
 //! This is the rustls-style inversion: one buffering core, two thin
 //! protocol "sides" (a [`Side`] implementation per role) that only ever
@@ -109,8 +109,9 @@ impl ConnectionCommon {
     /// Read TLS bytes from the transport into the connection.
     ///
     /// Performs exactly one `read` on `rd`; returns the byte count (0 =
-    /// EOF on the transport). Loop while [`Self::wants_read`] and the
-    /// transport has data, then call `process_new_packets()`.
+    /// EOF on the transport). Loop while the connection has not failed
+    /// ([`Self::is_failed`]) and the transport has data, then call
+    /// `process_new_packets()`.
     pub fn read_tls(&mut self, rd: &mut dyn io::Read) -> io::Result<usize> {
         let mut buf = [0u8; 4096];
         let n = rd.read(&mut buf)?;
@@ -135,11 +136,6 @@ impl ConnectionCommon {
             self.out_pos = 0;
         }
         Ok(n)
-    }
-
-    /// Would the connection make progress from more transport bytes?
-    pub fn wants_read(&self) -> bool {
-        !matches!(self.status, Status::Failed | Status::Closed)
     }
 
     /// Are TLS bytes queued for the transport?

@@ -60,15 +60,41 @@ pub struct CachedEcdhe {
     pub created_at: u64,
 }
 
+/// One key exchange's reuse slot: its policy and the live keypair with
+/// its creation time.
+struct Slot<K> {
+    policy: EphemeralPolicy,
+    cached: Option<(Arc<K>, u64)>,
+}
+
+impl<K> Slot<K> {
+    fn new(policy: EphemeralPolicy) -> Self {
+        Slot {
+            policy,
+            cached: None,
+        }
+    }
+
+    /// The cached keypair while the policy still applies to it at `now`,
+    /// else a fresh one from `generate`, cached for later handshakes.
+    fn keypair(&mut self, now: u64, generate: impl FnOnce() -> K) -> Arc<K> {
+        if let Some((keypair, created_at)) = &self.cached {
+            if self.policy.still_valid(*created_at, now) {
+                return Arc::clone(keypair);
+            }
+        }
+        let keypair = Arc::new(generate());
+        self.cached = Some((Arc::clone(&keypair), now));
+        keypair
+    }
+}
+
 struct EphemeralCacheInner {
-    dhe_policy: EphemeralPolicy,
-    ecdhe_policy: EphemeralPolicy,
     dh_group: DhGroup,
-    dhe: Option<CachedDhe>,
-    ecdhe: Option<CachedEcdhe>,
+    dhe: Slot<DhKeyPair>,
+    ecdhe: Slot<X25519KeyPair>,
+    /// One stream for both key exchanges, drawn in handshake order.
     rng: HmacDrbg,
-    dhe_generations: u64,
-    ecdhe_generations: u64,
 }
 
 /// Holds (and regenerates per policy) a server's ephemeral values.
@@ -92,83 +118,59 @@ impl EphemeralCache {
         rng: HmacDrbg,
     ) -> Self {
         EphemeralCache(Arc::new(Mutex::new(EphemeralCacheInner {
-            dhe_policy,
-            ecdhe_policy,
             dh_group,
-            dhe: None,
-            ecdhe: None,
+            dhe: Slot::new(dhe_policy),
+            ecdhe: Slot::new(ecdhe_policy),
             rng,
-            dhe_generations: 0,
-            ecdhe_generations: 0,
         })))
     }
 
     /// The DHE reuse policy in force.
     pub fn dhe_policy(&self) -> EphemeralPolicy {
-        self.0.lock().dhe_policy
+        self.0.lock().dhe.policy
     }
 
     /// The ECDHE reuse policy in force.
     pub fn ecdhe_policy(&self) -> EphemeralPolicy {
-        self.0.lock().ecdhe_policy
+        self.0.lock().ecdhe.policy
     }
 
     /// Get the DHE keypair to use for a handshake at `now`, regenerating
     /// if the policy says the cached one is stale. Returns a shared handle;
     /// under a reuse policy this is a refcount bump, not a key copy.
     pub fn dhe_keypair(&self, now: u64) -> Arc<DhKeyPair> {
-        let mut inner = self.0.lock();
-        let reuse = inner
-            .dhe
-            .as_ref()
-            .map(|c| inner.dhe_policy.still_valid(c.created_at, now))
-            .unwrap_or(false);
-        if !reuse {
-            let group = inner.dh_group;
-            let kp = DhKeyPair::generate(group, &mut inner.rng);
-            inner.dhe = Some(CachedDhe {
-                keypair: Arc::new(kp),
-                created_at: now,
-            });
-            inner.dhe_generations += 1;
-        }
-        Arc::clone(&inner.dhe.as_ref().expect("just set").keypair)
+        let inner = &mut *self.0.lock();
+        let (group, rng) = (inner.dh_group, &mut inner.rng);
+        inner.dhe.keypair(now, || DhKeyPair::generate(group, rng))
     }
 
     /// Get the X25519 keypair for a handshake at `now` (same policy).
     pub fn ecdhe_keypair(&self, now: u64) -> Arc<X25519KeyPair> {
-        let mut inner = self.0.lock();
-        let reuse = inner
-            .ecdhe
-            .as_ref()
-            .map(|c| inner.ecdhe_policy.still_valid(c.created_at, now))
-            .unwrap_or(false);
-        if !reuse {
-            let kp = X25519KeyPair::generate(&mut inner.rng);
-            inner.ecdhe = Some(CachedEcdhe {
-                keypair: Arc::new(kp),
-                created_at: now,
-            });
-            inner.ecdhe_generations += 1;
-        }
-        Arc::clone(&inner.ecdhe.as_ref().expect("just set").keypair)
-    }
-
-    /// How many distinct DHE values have been generated (ground truth for
-    /// reuse measurements).
-    pub fn dhe_generations(&self) -> u64 {
-        self.0.lock().dhe_generations
-    }
-
-    /// How many distinct ECDHE values have been generated.
-    pub fn ecdhe_generations(&self) -> u64 {
-        self.0.lock().ecdhe_generations
+        let inner = &mut *self.0.lock();
+        let rng = &mut inner.rng;
+        inner.ecdhe.keypair(now, || X25519KeyPair::generate(rng))
     }
 
     /// Attacker model (§6.3): steal the currently cached secrets.
     pub fn steal(&self) -> (Option<CachedDhe>, Option<CachedEcdhe>) {
         let inner = self.0.lock();
-        (inner.dhe.clone(), inner.ecdhe.clone())
+        let dhe = inner
+            .dhe
+            .cached
+            .as_ref()
+            .map(|(keypair, created_at)| CachedDhe {
+                keypair: Arc::clone(keypair),
+                created_at: *created_at,
+            });
+        let ecdhe = inner
+            .ecdhe
+            .cached
+            .as_ref()
+            .map(|(keypair, created_at)| CachedEcdhe {
+                keypair: Arc::clone(keypair),
+                created_at: *created_at,
+            });
+        (dhe, ecdhe)
     }
 
     /// Same underlying cache (shared terminator)?
@@ -191,7 +193,6 @@ mod tests {
         let a = c.dhe_keypair(0);
         let b = c.dhe_keypair(0);
         assert_ne!(a.public.to_hex(), b.public.to_hex());
-        assert_eq!(c.dhe_generations(), 2);
         let a = c.ecdhe_keypair(0);
         let b = c.ecdhe_keypair(0);
         assert_ne!(a.public, b.public);
@@ -207,7 +208,6 @@ mod tests {
             let expected = X25519KeyPair::generate(&mut reference);
             let got = c.ecdhe_keypair(0);
             assert_eq!(got.public, expected.public, "draw {i}");
-            assert_eq!(c.ecdhe_generations(), (i + 1) as u64);
             let (_, stolen) = c.steal();
             assert_eq!(stolen.expect("cached").keypair.public, expected.public);
         }
@@ -221,7 +221,8 @@ mod tests {
         assert_eq!(a.public.to_hex(), b.public.to_hex());
         let d = c.dhe_keypair(100);
         assert_ne!(a.public.to_hex(), d.public.to_hex(), "expired at boundary");
-        assert_eq!(c.dhe_generations(), 2);
+        let (stolen, _) = c.steal();
+        assert_eq!(stolen.expect("cached").created_at, 100);
     }
 
     #[test]
@@ -230,17 +231,26 @@ mod tests {
         let a = c.ecdhe_keypair(0);
         let b = c.ecdhe_keypair(86_400 * 63); // the whole 9-week study
         assert_eq!(a.public, b.public);
-        assert_eq!(c.ecdhe_generations(), 1);
+        let (_, stolen) = c.steal();
+        assert_eq!(stolen.expect("cached").created_at, 0);
     }
 
     #[test]
     fn dhe_and_ecdhe_caches_are_independent() {
+        // Each kind has its own slot; both draw from one stream, in call
+        // order.
         let c = cache(EphemeralPolicy::ReuseForever, b"indep");
-        let _ = c.dhe_keypair(0);
-        assert_eq!(c.dhe_generations(), 1);
-        assert_eq!(c.ecdhe_generations(), 0);
-        let _ = c.ecdhe_keypair(0);
-        assert_eq!(c.ecdhe_generations(), 1);
+        let mut reference = HmacDrbg::new(b"indep");
+        let d = c.dhe_keypair(0);
+        assert!(matches!(c.steal(), (Some(_), None)));
+        let e = c.ecdhe_keypair(5);
+        let (dhe, ecdhe) = c.steal();
+        assert_eq!(dhe.expect("cached").created_at, 0);
+        assert_eq!(ecdhe.expect("cached").created_at, 5);
+        let expected_d = DhKeyPair::generate(DhGroup::Sim256, &mut reference);
+        let expected_e = X25519KeyPair::generate(&mut reference);
+        assert_eq!(d.public.to_hex(), expected_d.public.to_hex());
+        assert_eq!(e.public, expected_e.public);
     }
 
     #[test]

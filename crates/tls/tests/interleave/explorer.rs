@@ -26,29 +26,6 @@
 //! sequentially consistent atomics — relaxed-memory reorderings are out
 //! of scope (that is what the `atomic-ordering` lint rule and the TSan CI
 //! leg are for).
-//!
-//! ```
-//! use ts_core::interleave::{step, Scenario};
-//!
-//! // Two threads, each a non-atomic increment (read, then write back).
-//! #[derive(Default)]
-//! struct S { counter: u64, tmp: [u64; 2] }
-//! let lost_update = Scenario::new()
-//!     .thread(vec![
-//!         step(|s: &mut S| s.tmp[0] = s.counter),
-//!         step(|s: &mut S| s.counter = s.tmp[0] + 1),
-//!     ])
-//!     .thread(vec![
-//!         step(|s: &mut S| s.tmp[1] = s.counter),
-//!         step(|s: &mut S| s.counter = s.tmp[1] + 1),
-//!     ]);
-//! let mut finals = std::collections::BTreeSet::new();
-//! let schedules = lost_update.explore(S::default, |_, s| {
-//!     finals.insert(s.counter);
-//! });
-//! assert_eq!(schedules, 6); // 4! / (2! 2!)
-//! assert!(finals.contains(&1), "exhaustiveness finds the lost update");
-//! ```
 
 /// What a step did when scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,8 @@
 //! (`SharedStekManager` / `PinnedStekSet`) and the sharded
 //! `SharedSessionCache` cross-shard fallback.
 //!
-//! Two granularities, both driven by `ts_core::interleave`:
+//! Two granularities, both driven by the exhaustive explorer in
+//! [`explorer`]:
 //!
 //! * **Operation-level models** mirror the exact load/store/lock sequence
 //!   of the production methods (one harness step per primitive op, yield
@@ -17,7 +18,9 @@
 //!   step, so every interleaving of whole refresh/accept calls runs
 //!   against real tickets and real keys.
 
-use ts_core::interleave::{step, try_step, Scenario, StepOutcome};
+mod explorer;
+
+use explorer::{step, try_step, Scenario, Step, StepOutcome};
 use ts_crypto::drbg::HmacDrbg;
 use ts_tls::cache::SharedSessionCache;
 use ts_tls::session::SessionState;
@@ -56,7 +59,7 @@ struct StekModel {
 /// lock the snapshot; rebuild from the manager (manager lock is
 /// uncontended in this scenario, so tick+build is one step); replace the
 /// published set; bump the epoch and release.
-fn refresher() -> Vec<ts_core::interleave::Step<StekModel>> {
+fn refresher() -> Vec<Step<StekModel>> {
     vec![
         try_step(|s: &mut StekModel| {
             if s.published_locked {
@@ -187,7 +190,7 @@ struct CacheModel {
     found: Option<bool>,
 }
 
-fn lock_shard(i: usize) -> ts_core::interleave::Step<CacheModel> {
+fn lock_shard(i: usize) -> Step<CacheModel> {
     try_step(move |s: &mut CacheModel| {
         if s.locked[i] {
             return StepOutcome::Blocked;

@@ -16,11 +16,10 @@ fn main() {
     let pop = Population::build(PopulationConfig::new(42, 1_000));
     println!(
         "  {} domains in the daily list, {} browser-trusted in the stable core,\n  \
-         {} SSL terminators, {} ASes\n",
+         {} SSL terminators\n",
         pop.churn.core().len(),
         pop.core_trusted().len(),
         pop.terminators.len(),
-        pop.as_plan.as_count(),
     );
 
     let mut scanner = Scanner::new(&pop, "quickstart");

@@ -11,10 +11,10 @@
 
 use tls_shortcuts::core::observations::KexKind;
 use tls_shortcuts::core::report::pct;
-use tls_shortcuts::core::stream::{CountCdf, SpanAcc};
+use tls_shortcuts::core::stream::{CountCdf, GroupAcc, SpanAcc};
 use tls_shortcuts::population::{Population, PopulationConfig};
-use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan};
-use tls_shortcuts::scanner::daily::{run_campaign, CampaignOptions};
+use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan_streaming};
+use tls_shortcuts::scanner::daily::{run_campaign_streaming, CampaignData, CampaignOptions};
 use tls_shortcuts::scanner::Scanner;
 
 fn main() {
@@ -36,12 +36,15 @@ fn main() {
     println!("\nrunning 63 daily scans (ticket + DHE + ECDHE grabs per domain)...");
     let mut scanner = Scanner::new(&pop, "campaign");
     let targets = core.clone();
-    let data = run_campaign(&mut scanner, &CampaignOptions::new(), move |_d| {
-        targets.clone()
-    });
+    let mut data = CampaignData::default();
+    let attempts = run_campaign_streaming(
+        &mut scanner,
+        &CampaignOptions::new(),
+        move |_d| targets.clone(),
+        &mut data,
+    );
     println!(
-        "  {} handshake attempts, {} ticket sightings",
-        data.attempts,
+        "  {attempts} handshake attempts, {} ticket sightings",
         data.tickets.len()
     );
 
@@ -85,7 +88,17 @@ fn main() {
     let scanner2 = Scanner::new(&pop, "groups");
     let frame = build_targets(&scanner2, &core);
     let mut scanner2 = scanner2;
-    let (groups, _) = stek_sharing_scan(&mut scanner2, &frame, 40 * 86_400, 6 * 3_600, 10, 1_800);
+    let mut acc = GroupAcc::exact();
+    stek_sharing_scan_streaming(
+        &mut scanner2,
+        &frame,
+        40 * 86_400,
+        6 * 3_600,
+        10,
+        1_800,
+        |s| acc.record(&s.domain, &s.stek_id, s.day),
+    );
+    let groups = acc.service_groups();
     println!("  {} groups; the five largest:", groups.len());
     for g in groups.iter().take(5) {
         println!("    {:<28} {} domains", g.label, g.size());

@@ -5,16 +5,24 @@
 use tls_shortcuts::attacker::passive::CapturedConnection;
 use tls_shortcuts::attacker::stek::decrypt_with_stolen_steks;
 use tls_shortcuts::core::observations::KexKind;
-use tls_shortcuts::core::stream::SpanAcc;
+use tls_shortcuts::core::stream::{GroupAcc, SpanAcc};
 use tls_shortcuts::crypto::drbg::HmacDrbg;
 use tls_shortcuts::population::{Population, PopulationConfig};
-use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan};
-use tls_shortcuts::scanner::daily::{run_campaign, CampaignOptions};
+use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan_streaming};
+use tls_shortcuts::scanner::daily::{run_campaign_streaming, CampaignData, CampaignOptions};
 use tls_shortcuts::scanner::{GrabOptions, Scanner};
 use tls_shortcuts::tls::config::ClientConfig;
 use tls_shortcuts::tls::pump::pump_app_data;
 
 const DAY: u64 = 86_400;
+
+/// Every sighting of a `days`-day campaign over `targets`.
+fn campaign(scanner: &mut Scanner, days: u64, targets: Vec<String>) -> CampaignData {
+    let mut data = CampaignData::default();
+    let options = CampaignOptions::new().days(0..days);
+    run_campaign_streaming(scanner, &options, move |_| targets.clone(), &mut data);
+    data
+}
 
 fn world(seed: u64, size: usize, days: u64) -> Population {
     let mut cfg = PopulationConfig::new(seed, size);
@@ -28,9 +36,7 @@ fn campaign_spans_match_ground_truth_for_every_measured_domain() {
     let pop = world(100, 500, 12);
     let core = pop.core_trusted();
     let mut scanner = Scanner::new(&pop, "e2e-campaign");
-    let options = CampaignOptions::new().days(0..12);
-    let targets = core.clone();
-    let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
+    let data = campaign(&mut scanner, 12, core);
 
     let mut stek = SpanAcc::exact();
     for s in &data.tickets {
@@ -78,9 +84,7 @@ fn kex_reuse_detected_only_where_configured() {
     let pop = world(101, 500, 8);
     let core = pop.core_trusted();
     let mut scanner = Scanner::new(&pop, "e2e-kex");
-    let options = CampaignOptions::new().days(0..8);
-    let targets = core.clone();
-    let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
+    let data = campaign(&mut scanner, 8, core);
     let mut ecdhe = SpanAcc::exact();
     for s in data.kex.iter().filter(|s| s.kex == KexKind::Ecdhe) {
         ecdhe.record(&s.domain, &s.value_fp, s.day);
@@ -111,7 +115,11 @@ fn stek_groups_match_configured_units() {
     let scanner = Scanner::new(&pop, "e2e-groups");
     let frame = build_targets(&scanner, &core);
     let mut scanner = scanner;
-    let (groups, _) = stek_sharing_scan(&mut scanner, &frame, 9_000, 6 * 3_600, 6, 1_800);
+    let mut acc = GroupAcc::exact();
+    stek_sharing_scan_streaming(&mut scanner, &frame, 9_000, 6 * 3_600, 6, 1_800, |s| {
+        acc.record(&s.domain, &s.stek_id, s.day)
+    });
+    let groups = acc.service_groups();
     // Every multi-domain group must correspond to one configured STEK unit.
     let mut multi_checked = 0;
     for g in groups.iter().filter(|g| g.size() >= 2) {
@@ -186,9 +194,7 @@ fn whole_study_is_deterministic() {
         let pop = world(104, 300, 4);
         let core = pop.core_trusted();
         let mut scanner = Scanner::new(&pop, "e2e-det");
-        let options = CampaignOptions::new().days(0..4);
-        let targets = core.clone();
-        let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
+        let data = campaign(&mut scanner, 4, core);
         let mut tickets = data.tickets;
         tickets.sort_by(|a, b| (&a.domain, a.day).cmp(&(&b.domain, b.day)));
         tickets
@@ -212,9 +218,7 @@ fn blacklisted_domains_never_scanned() {
         return; // seed produced no blacklist entries at this size
     }
     let mut scanner = Scanner::new(&pop, "e2e-blacklist");
-    let options = CampaignOptions::new().days(0..3);
-    let targets = blacklisted.clone();
-    let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
+    let data = campaign(&mut scanner, 3, blacklisted);
     assert!(
         data.tickets.is_empty(),
         "no observations from blacklisted domains"

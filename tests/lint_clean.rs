@@ -4,9 +4,10 @@
 //! this test on any unsuppressed finding — non-constant-time comparisons
 //! on key material, Debug/Display leak surfaces, missing zeroization,
 //! secret-indexed table lookups, secret-tainted values reaching a
-//! telemetry sink, lifetime-class violations, skippable wipes, or
-//! unjustified `unsafe` — and equally on any *stale* `ctlint.toml`
-//! allowlist entry, so suppressions cannot outlive the code they excuse.
+//! telemetry sink, lifetime-class violations, skippable wipes,
+//! unjustified `unsafe`, or a public function no production code calls —
+//! and equally on any *stale* `ctlint.toml` allowlist entry, so
+//! suppressions cannot outlive the code they excuse.
 
 use std::path::Path;
 
@@ -14,7 +15,8 @@ use std::path::Path;
 fn workspace_passes_secret_hygiene_lint() {
     // CARGO_MANIFEST_DIR of the root package IS the workspace root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = ts_lint::check_workspace(root).expect("ctlint.toml parses");
+    let report = ts_lint::check_workspace_with_workers(root, ts_core::par::default_workers())
+        .expect("ctlint.toml parses");
     assert!(
         report.files_scanned > 50,
         "scanned only {} files — workspace walk is broken",
@@ -119,6 +121,86 @@ fn stale_lifetime_waiver_fails_the_lint() {
         report.stale_allows[0].starts_with("[[lifetime]]"),
         "{}",
         report.stale_allows[0]
+    );
+}
+
+#[test]
+fn stale_api_waiver_fails_the_lint() {
+    // An `[[api]]` entry for a function that is gone (or gained a
+    // production caller) flips the report to not-clean, like every other
+    // waiver section.
+    let mut config = ts_lint::Config::default();
+    config.allows.push(ts_lint::Allow {
+        section: ts_lint::RuleFamily::Api,
+        rule: "test-only-api".into(),
+        file: "crates/gone/src/probe.rs".into(),
+        ident: "deleted_probe".into(),
+        reason: "a test observation point that no longer exists".into(),
+    });
+    let report = ts_lint::analyze_sources(
+        &[(
+            "lib.rs".into(),
+            "fn ok(a: u32, b: u32) -> bool { a == b }".into(),
+        )],
+        &config,
+    );
+    assert!(!report.is_clean(), "\n{}", report.render());
+    assert_eq!(report.stale_allows.len(), 1, "\n{}", report.render());
+    assert!(
+        report.stale_allows[0].starts_with("[[api]]"),
+        "{}",
+        report.stale_allows[0]
+    );
+}
+
+#[test]
+fn every_api_waiver_names_a_test_that_reads_it() {
+    // An `[[api]]` waiver keeps a public function that only tests read, so
+    // its reason must cite a file that does read it: a file under `tests/`
+    // or `examples/` naming the function, or a source file naming it
+    // after its `#[cfg(test)]` line.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let toml = std::fs::read_to_string(root.join("ctlint.toml")).expect("ctlint.toml");
+    let config = ts_lint::Config::from_toml(&toml).expect("ctlint.toml parses");
+    let mut unproven = Vec::new();
+    let mut waivers = 0;
+    for waiver in config
+        .allows
+        .iter()
+        .filter(|a| a.section == ts_lint::RuleFamily::Api)
+    {
+        waivers += 1;
+        let reads = |cited: &str| {
+            let Ok(text) = std::fs::read_to_string(root.join(cited)) else {
+                return false;
+            };
+            let is_test_tree = cited.starts_with("tests/")
+                || cited.starts_with("examples/")
+                || cited.contains("/tests/")
+                || cited.contains("/examples/");
+            let test_code = if is_test_tree {
+                text.as_str()
+            } else {
+                text.split_once("#[cfg(test)]")
+                    .map_or("", |(_, tests)| tests)
+            };
+            test_code.contains(waiver.ident.as_str())
+        };
+        let cited: Vec<&str> = waiver
+            .reason
+            .split_whitespace()
+            .map(|w| w.trim_end_matches([',', ';', '.', ':']))
+            .filter(|w| w.ends_with(".rs"))
+            .collect();
+        if !cited.iter().any(|c| reads(c)) {
+            unproven.push(format!("{} (cites {cited:?})", waiver.describe()));
+        }
+    }
+    assert!(waivers > 0, "no [[api]] waivers parsed from ctlint.toml");
+    assert!(
+        unproven.is_empty(),
+        "[[api]] waivers whose reason cites no test that reads the function:\n{}",
+        unproven.join("\n")
     );
 }
 
