@@ -3,13 +3,13 @@
 use crate::Context;
 use std::collections::BTreeMap;
 use ts_core::groups::{stats, top_groups, ServiceGroup};
+use ts_core::observations::{KexSighting, TicketSighting};
 use ts_core::par::{default_workers, parallel_map};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
 use ts_core::stream::{GroupAcc, Merge};
 use ts_core::treemap::{build_cells, red_cells, LongevityBucket};
 use ts_scanner::crossdomain::{
-    build_targets, dh_sharing_scan_streaming, session_cache_scan_streaming,
-    stek_sharing_scan_streaming,
+    build_targets, dh_sharing_round, session_cache_scan, stek_sharing_round,
 };
 use ts_scanner::Scanner;
 
@@ -46,8 +46,7 @@ fn render_groups(title: &str, groups: &[ServiceGroup], paper_note: &str) -> Stri
 /// Table 5 — largest session-cache service groups.
 pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
     let pop = ctx.fresh_pop();
-    let scanner = Scanner::new(&pop, "t5-targets");
-    let targets = build_targets(&scanner, &ctx.core_trusted);
+    let targets = build_targets(&pop, &ctx.core_trusted);
     // Parallel over target chunks. Sibling sampling is chunk-local: the
     // builder lays operator domains out contiguously, so AS/IP siblings
     // overwhelmingly land in the same chunk — and the paper's method also
@@ -64,14 +63,7 @@ pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
         for t in chunk {
             acc.add(&t.domain);
         }
-        session_cache_scan_streaming(
-            &mut scanner,
-            chunk,
-            86_400,
-            5,
-            |_| {},
-            |e| acc.link(&e.a, &e.b),
-        );
+        session_cache_scan(&mut scanner, chunk, 86_400, |a, b| acc.link(a, b));
         vec![acc]
     });
     let mut acc = GroupAcc::exact();
@@ -89,11 +81,10 @@ pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
 
 /// Table 6 — largest STEK service groups.
 pub fn table6_stek_groups(ctx: &Context) -> SharingResult {
-    // Connection-lockstep: all domains get connection k before any domain
-    // gets connection k+1, so shared STEK managers advance uniformly.
+    // Round-lockstep: all domains get round k before any domain gets
+    // round k+1, so shared STEK managers advance uniformly.
     let pop = ctx.fresh_pop();
-    let scanner = Scanner::new(&pop, "t6-targets");
-    let targets = build_targets(&scanner, &ctx.core_trusted);
+    let targets = build_targets(&pop, &ctx.core_trusted);
     let t0 = 86_400;
     let window = 6 * 3_600;
     let connections = 10u64;
@@ -109,11 +100,11 @@ pub fn table6_stek_groups(ctx: &Context) -> SharingResult {
         } else {
             t0 + window + 30 * 60
         };
-        let step: Vec<ts_core::observations::TicketSighting> =
+        let step: Vec<TicketSighting> =
             parallel_map(&targets, default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(&pop, &format!("t6-{k}-{chunk_id}"));
                 let mut s = Vec::new();
-                stek_sharing_scan_streaming(&mut scanner, chunk, at, 0, 1, 0, |x| s.push(x));
+                stek_sharing_round(&mut scanner, chunk, at, |x| s.push(x));
                 s
             });
         for s in step {
@@ -132,8 +123,7 @@ pub fn table6_stek_groups(ctx: &Context) -> SharingResult {
 /// Table 7 — largest Diffie-Hellman service groups.
 pub fn table7_dh_groups(ctx: &Context) -> SharingResult {
     let pop = ctx.fresh_pop();
-    let scanner = Scanner::new(&pop, "t7-targets");
-    let targets = build_targets(&scanner, &ctx.core_trusted);
+    let targets = build_targets(&pop, &ctx.core_trusted);
     let t0 = 86_400;
     let window = 5 * 3_600;
     let connections = 10u64;
@@ -142,11 +132,11 @@ pub fn table7_dh_groups(ctx: &Context) -> SharingResult {
     let mut acc = GroupAcc::exact();
     for k in 0..connections {
         let at = t0 + window * k / connections;
-        let step: Vec<ts_core::observations::KexSighting> =
+        let step: Vec<KexSighting> =
             parallel_map(&targets, default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(&pop, &format!("t7-{k}-{chunk_id}"));
                 let mut s = Vec::new();
-                dh_sharing_scan_streaming(&mut scanner, chunk, at, 0, 1, |x| s.push(x));
+                dh_sharing_round(&mut scanner, chunk, at, |x| s.push(x));
                 s
             });
         for s in step {

@@ -8,7 +8,7 @@
 use crate::Context;
 use ts_core::par::{default_workers, parallel_map};
 use ts_core::report::{compare_line, pct, TextTable};
-use ts_scanner::burst::{burst_scan_streaming, BurstFunnel, BurstMetric};
+use ts_scanner::burst::{burst_scan, BurstFunnel};
 use ts_scanner::{Scanner, SuiteOffer};
 
 /// The three funnels of Table 1.
@@ -36,24 +36,14 @@ fn merge(funnels: Vec<BurstFunnel>) -> BurstFunnel {
     out
 }
 
-fn scan(
-    pop: &ts_population::Population,
-    label: &str,
-    offer: SuiteOffer,
-    metric: BurstMetric,
-    day: u64,
-) -> BurstFunnel {
+fn scan(pop: &ts_population::Population, label: &str, offer: SuiteOffer, day: u64) -> BurstFunnel {
     // Table 1 scans a single day's full list; we scan the stable core plus
     // that day's transients — the same composition.
     let domains = pop.churn.list_for_day(day);
     let now = day * 86_400 + 4 * 3_600;
     let funnels = parallel_map(&domains, default_workers(), |chunk_id, chunk| {
         let mut scanner = Scanner::new(pop, &format!("{label}-{chunk_id}"));
-        let chunk_vec: Vec<String> = chunk.to_vec();
-        // Table 1 only needs the funnel: drop each per-domain summary at
-        // the source instead of collecting a vector per chunk.
-        let funnel = burst_scan_streaming(&mut scanner, &chunk_vec, now, offer, metric, 10, |_| {});
-        vec![funnel]
+        vec![burst_scan(&mut scanner, chunk, now, offer)]
     });
     merge(funnels)
 }
@@ -63,21 +53,9 @@ fn scan(
 /// virtual time in shared STEK managers only moves forward).
 pub fn table1_support(ctx: &Context) -> Table1 {
     let pop = ctx.fresh_pop();
-    let dhe = scan(
-        &pop,
-        "t1-dhe",
-        SuiteOffer::DheOnly,
-        BurstMetric::KexValues,
-        1,
-    );
-    let ecdhe = scan(
-        &pop,
-        "t1-ecdhe",
-        SuiteOffer::EcdheOnly,
-        BurstMetric::KexValues,
-        2,
-    );
-    let tickets = scan(&pop, "t1-tickets", SuiteOffer::All, BurstMetric::StekIds, 4);
+    let dhe = scan(&pop, "t1-dhe", SuiteOffer::DheOnly, 1);
+    let ecdhe = scan(&pop, "t1-ecdhe", SuiteOffer::EcdheOnly, 2);
+    let tickets = scan(&pop, "t1-tickets", SuiteOffer::All, 4);
 
     let mut report = String::new();
     report

@@ -4,7 +4,7 @@
 //! scan observations (produced by `ts-scanner`, but any source works), it
 //! computes everything the paper's evaluation reports —
 //!
-//! * [`observations`] — the scan record types (sightings, probes, edges)
+//! * [`observations`] — the scan record types (sightings and probes)
 //! * [`json`] — dependency-free JSON tree, the writer behind the
 //!   `campaign/v1` summary and the telemetry snapshots
 //! * [`par`] — deterministic chunked fan-out (`parallel_map`)

@@ -67,69 +67,6 @@ pub enum ResumptionMechanism {
     Ticket,
 }
 
-/// Evidence that two domains share server-side state (§5).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharingEdge {
-    /// First domain.
-    pub a: String,
-    /// Second domain.
-    pub b: String,
-    /// What kind of sharing was observed.
-    pub kind: SharingKind,
-}
-
-/// The kinds of cross-domain secret sharing the study measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SharingKind {
-    /// A session ID from `a` resumed on `b` (shared session cache).
-    SessionCache,
-    /// The same STEK identifier appeared on both (shared STEK).
-    Stek,
-    /// The same key-exchange value appeared on both (shared DH value).
-    DhValue,
-}
-
-/// Per-domain summary of a 10-connection burst scan (Table 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BurstSummary {
-    /// Domain probed.
-    pub domain: String,
-    /// Connections attempted.
-    pub attempts: u32,
-    /// Connections that completed a handshake with the restricted offer.
-    pub successes: u32,
-    /// Presented a browser-trusted chain.
-    pub trusted: bool,
-    /// Distinct server key-exchange values seen (None if no PFS suite ran).
-    pub distinct_kex_values: Option<u32>,
-    /// Distinct STEK identifiers seen (None if no tickets issued).
-    pub distinct_stek_ids: Option<u32>,
-    /// Number of connections that yielded a ticket.
-    pub tickets_issued: u32,
-}
-
-impl BurstSummary {
-    /// Did the domain ever repeat a key-exchange value in the burst?
-    pub fn repeats_kex(&self) -> bool {
-        matches!(self.distinct_kex_values, Some(d) if d < self.successes && self.successes > 1)
-    }
-
-    /// Did every connection present the same key-exchange value?
-    pub fn all_same_kex(&self) -> bool {
-        self.successes > 1 && self.distinct_kex_values == Some(1)
-    }
-
-    /// Did the domain repeat a STEK id within the burst?
-    pub fn repeats_stek(&self) -> bool {
-        matches!(self.distinct_stek_ids, Some(d) if d < self.tickets_issued && self.tickets_issued > 1)
-    }
-
-    /// Did every issued ticket carry the same STEK id?
-    pub fn all_same_stek(&self) -> bool {
-        self.tickets_issued > 1 && self.distinct_stek_ids == Some(1)
-    }
-}
-
 /// Hex-encode helper shared by observation producers.
 pub fn fingerprint_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -138,46 +75,6 @@ pub fn fingerprint_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn burst_summary_classifications() {
-        let base = BurstSummary {
-            domain: "x.sim".into(),
-            attempts: 10,
-            successes: 10,
-            trusted: true,
-            distinct_kex_values: Some(10),
-            distinct_stek_ids: Some(1),
-            tickets_issued: 10,
-        };
-        assert!(!base.repeats_kex());
-        assert!(!base.all_same_kex());
-        assert!(base.repeats_stek());
-        assert!(base.all_same_stek());
-
-        let reuser = BurstSummary {
-            distinct_kex_values: Some(3),
-            ..base.clone()
-        };
-        assert!(reuser.repeats_kex());
-        assert!(!reuser.all_same_kex());
-
-        let always = BurstSummary {
-            distinct_kex_values: Some(1),
-            ..base.clone()
-        };
-        assert!(always.all_same_kex());
-
-        let single = BurstSummary {
-            successes: 1,
-            tickets_issued: 1,
-            distinct_kex_values: Some(1),
-            distinct_stek_ids: Some(1),
-            ..base.clone()
-        };
-        assert!(!single.repeats_kex(), "one success can't show reuse");
-        assert!(!single.all_same_stek());
-    }
 
     #[test]
     fn fingerprints_hex() {

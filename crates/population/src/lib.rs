@@ -29,12 +29,10 @@ pub mod ground_truth;
 pub mod keys;
 pub mod operators;
 pub mod profile;
-pub mod shard;
 pub mod terminator;
 
 pub use build::{Population, PopulationConfig};
 pub use ground_truth::GroundTruth;
 pub use keys::KeyMaterial;
 pub use profile::{CachePolicy, DomainBehavior, Software, TicketPolicy};
-pub use shard::PopulationShards;
 pub use terminator::Terminator;

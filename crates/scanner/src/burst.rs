@@ -1,16 +1,19 @@
 //! 10-connection burst scans (Table 1).
 //!
-//! For each domain: `k` connections in quick succession with a restricted
-//! cipher offer, summarizing suite support, trust, and within-burst reuse
-//! of key-exchange values and STEK identifiers.
+//! For each domain: ten connections in quick succession with a restricted
+//! cipher offer, counting suite support, trust, and within-burst reuse.
+//! The offer decides what is counted: a browser-like offer counts STEK
+//! identifiers, a DHE-only or ECDHE-only offer counts key-exchange values.
 
 use crate::grab::{GrabFailure, GrabOptions, Scanner, SuiteOffer};
 use std::collections::BTreeSet;
-use ts_core::observations::BurstSummary;
 use ts_telemetry::Counter;
 
 static BURST_DOMAINS: Counter = Counter::new("scanner.burst.domains");
 static BURST_CONNECTIONS: Counter = Counter::new("scanner.burst.connections");
+
+/// Connections per domain in one burst (Table 1's 10-connection bursts).
+const CONNECTIONS: u32 = 10;
 
 /// The Table 1 funnel for one restricted offer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -31,28 +34,16 @@ pub struct BurstFunnel {
     pub all_same: usize,
 }
 
-/// What the burst counts for the "supported" and reuse rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BurstMetric {
-    /// Server key-exchange values (DHE or ECDHE scans).
-    KexValues,
-    /// STEK identifiers (session-ticket scan).
-    StekIds,
-}
-
-/// Run a burst scan over `domains` at time `now`, handing each per-domain
-/// summary to `on_summary` as it is produced, and return the aggregate
-/// funnel. Callers that only need the funnel (Table 1) drop the summaries
-/// at the source.
-pub fn burst_scan_streaming(
+/// Run a burst scan over `domains` at time `now` and return the funnel.
+/// [`SuiteOffer::All`] counts STEK identifiers (the ticket funnel); any
+/// other offer counts server key-exchange values.
+pub fn burst_scan(
     scanner: &mut Scanner,
     domains: &[String],
     now: u64,
     offer: SuiteOffer,
-    metric: BurstMetric,
-    connections: u32,
-    mut on_summary: impl FnMut(BurstSummary),
 ) -> BurstFunnel {
+    let counts_steks = offer == SuiteOffer::All;
     let mut funnel = BurstFunnel {
         listed: domains.len(),
         ..Default::default()
@@ -73,56 +64,41 @@ pub fn burst_scan_streaming(
         BURST_DOMAINS.inc();
 
         let opts = GrabOptions::new().suites(offer);
-        let mut successes = 0u32;
-        let mut tickets = 0u32;
-        let mut kex_values: BTreeSet<String> = BTreeSet::new();
-        let mut stek_ids: BTreeSet<String> = BTreeSet::new();
-        for i in 0..connections {
+        // `sightings` counts the connections the offer is judged on:
+        // every completed handshake for a key-exchange offer, every
+        // ticket for the ticket funnel. `distinct` holds what they showed.
+        let mut sightings = 0u32;
+        let mut distinct: BTreeSet<String> = BTreeSet::new();
+        for i in 0..CONNECTIONS {
             // "In quick succession": a few seconds apart.
             BURST_CONNECTIONS.inc();
             let g = scanner.grab(domain, now + i as u64, &opts);
             match g.outcome {
-                Ok(obs) => {
-                    successes += 1;
-                    if let Some(fp) = obs.kex_value_fp {
-                        kex_values.insert(fp);
-                    }
+                Ok(obs) if counts_steks => {
                     if let Some(id) = obs.stek_id {
-                        stek_ids.insert(id);
-                        tickets += 1;
+                        sightings += 1;
+                        distinct.insert(id);
                     }
+                }
+                Ok(obs) => {
+                    sightings += 1;
+                    distinct.extend(obs.kex_value_fp);
                 }
                 Err(GrabFailure::Timeout) => {}
                 Err(_) => break, // hard failure (e.g. no common suite)
             }
         }
-        let summary = BurstSummary {
-            domain: domain.clone(),
-            attempts: connections,
-            successes,
-            trusted,
-            distinct_kex_values: (!kex_values.is_empty()).then(|| kex_values.len() as u32),
-            distinct_stek_ids: (!stek_ids.is_empty()).then(|| stek_ids.len() as u32),
-            tickets_issued: tickets,
-        };
-        let supported = match metric {
-            BurstMetric::KexValues => successes > 0,
-            BurstMetric::StekIds => tickets > 0,
-        };
-        if supported {
-            funnel.supported += 1;
-            let (repeats, all_same) = match metric {
-                BurstMetric::KexValues => (summary.repeats_kex(), summary.all_same_kex()),
-                BurstMetric::StekIds => (summary.repeats_stek(), summary.all_same_stek()),
-            };
-            if repeats {
-                funnel.repeat_twice += 1;
-            }
-            if all_same {
-                funnel.all_same += 1;
-            }
+        if sightings == 0 {
+            continue;
         }
-        on_summary(summary);
+        funnel.supported += 1;
+        let distinct = distinct.len() as u32;
+        if sightings > 1 && distinct > 0 && distinct < sightings {
+            funnel.repeat_twice += 1;
+        }
+        if sightings > 1 && distinct == 1 {
+            funnel.all_same += 1;
+        }
     }
     funnel
 }
@@ -143,20 +119,11 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "burst-static");
         let domains = vec!["yahoo.sim".to_string()];
-        let mut summaries = Vec::new();
-        let funnel = burst_scan_streaming(
-            &mut s,
-            &domains,
-            5_000,
-            SuiteOffer::All,
-            BurstMetric::StekIds,
-            10,
-            |x| summaries.push(x),
-        );
+        let funnel = burst_scan(&mut s, &domains, 5_000, SuiteOffer::All);
         assert_eq!(funnel.trusted_tls, 1);
         assert_eq!(funnel.supported, 1);
         assert_eq!(funnel.all_same, 1, "static STEK → one id in burst");
-        assert_eq!(summaries[0].distinct_stek_ids, Some(1));
+        assert_eq!(funnel.repeat_twice, 1);
     }
 
     #[test]
@@ -165,19 +132,10 @@ mod tests {
         // whatsapp.sim reuses its ECDHE value for 62 days.
         let mut s = Scanner::new(p, "burst-reuse");
         let domains = vec!["whatsapp.sim".to_string()];
-        let mut summaries = Vec::new();
-        let funnel = burst_scan_streaming(
-            &mut s,
-            &domains,
-            5_000,
-            SuiteOffer::EcdheOnly,
-            BurstMetric::KexValues,
-            10,
-            |x| summaries.push(x),
-        );
+        let funnel = burst_scan(&mut s, &domains, 5_000, SuiteOffer::EcdheOnly);
         assert_eq!(funnel.supported, 1);
         assert_eq!(funnel.all_same, 1);
-        assert_eq!(summaries[0].distinct_kex_values, Some(1));
+        assert_eq!(funnel.repeat_twice, 1);
     }
 
     #[test]
@@ -186,20 +144,10 @@ mod tests {
         // twitter.sim has fresh ephemeral values.
         let mut s = Scanner::new(p, "burst-fresh");
         let domains = vec!["twitter.sim".to_string()];
-        let mut summaries = Vec::new();
-        let funnel = burst_scan_streaming(
-            &mut s,
-            &domains,
-            5_000,
-            SuiteOffer::EcdheOnly,
-            BurstMetric::KexValues,
-            10,
-            |x| summaries.push(x),
-        );
+        let funnel = burst_scan(&mut s, &domains, 5_000, SuiteOffer::EcdheOnly);
         assert_eq!(funnel.supported, 1);
         assert_eq!(funnel.repeat_twice, 0, "fresh values never repeat");
-        let distinct = summaries[0].distinct_kex_values.unwrap();
-        assert_eq!(distinct, summaries[0].successes);
+        assert_eq!(funnel.all_same, 0);
     }
 
     #[test]
@@ -207,15 +155,7 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "burst-funnel");
         let domains: Vec<String> = p.churn.core().iter().take(60).cloned().collect();
-        let funnel = burst_scan_streaming(
-            &mut s,
-            &domains,
-            5_000,
-            SuiteOffer::All,
-            BurstMetric::StekIds,
-            4,
-            |_| {},
-        );
+        let funnel = burst_scan(&mut s, &domains, 5_000, SuiteOffer::All);
         assert!(funnel.listed >= funnel.non_blacklisted);
         assert!(funnel.non_blacklisted >= funnel.trusted_tls);
         assert!(funnel.trusted_tls >= funnel.supported);
@@ -229,25 +169,9 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "burst-dhe");
         let domains: Vec<String> = p.churn.core().iter().take(60).cloned().collect();
-        let dhe = burst_scan_streaming(
-            &mut s,
-            &domains,
-            6_000,
-            SuiteOffer::DheOnly,
-            BurstMetric::KexValues,
-            3,
-            |_| {},
-        );
+        let dhe = burst_scan(&mut s, &domains, 6_000, SuiteOffer::DheOnly);
         let mut s = Scanner::new(p, "burst-ecdhe");
-        let ecdhe = burst_scan_streaming(
-            &mut s,
-            &domains,
-            6_000,
-            SuiteOffer::EcdheOnly,
-            BurstMetric::KexValues,
-            3,
-            |_| {},
-        );
+        let ecdhe = burst_scan(&mut s, &domains, 6_000, SuiteOffer::EcdheOnly);
         // Table 1 ordering: ECDHE support exceeds DHE support.
         assert!(
             ecdhe.supported >= dhe.supported,

@@ -1,18 +1,25 @@
 //! Cross-domain secret-sharing experiments (§5, Tables 5–7).
 //!
 //! * **Session caches** (§5.1): for each domain, try to resume its session
-//!   on up to five sampled AS-mates and five IP-mates; close transitively.
-//! * **STEKs** (§5.2): ten connections over a six-hour window plus one
-//!   30-minute snapshot; group domains sharing any STEK identifier.
-//! * **DH values** (§5.3): same cadence with DHE-only and ECDHE-only
-//!   value-only grabs ([`Scanner::grab_kex`]); group domains sharing any
-//!   key-exchange value.
+//!   on up to five sampled AS-mates and five IP-mates; the caller closes
+//!   the links transitively.
+//! * **STEKs** (§5.2) and **DH values** (§5.3): one round grabs every
+//!   target once at one instant and reports each STEK identifier or
+//!   key-exchange value it sees; the DH round makes DHE-only and
+//!   ECDHE-only value-only grabs ([`Scanner::grab_kex`]). The caller owns
+//!   the schedule (ten rounds over six hours plus a snapshot 30 minutes
+//!   later for STEKs, ten over five hours for DH values) and groups
+//!   domains sharing any identifier or value.
 
 use crate::grab::{GrabOptions, KexObservation, Scanner, SuiteOffer};
 use std::collections::BTreeMap;
-use ts_core::observations::{KexKind, KexSighting, SharingEdge, SharingKind, TicketSighting};
+use ts_core::observations::{KexKind, KexSighting, TicketSighting};
+use ts_population::Population;
 use ts_simnet::Ip;
 use ts_tls::server::ResumeKind;
+
+/// Siblings sampled per domain from its AS, and again from its IP (§5.1).
+const SIBLING_SAMPLES: usize = 5;
 
 /// A target with its resolved address and AS (the sampling frame).
 #[derive(Debug, Clone)]
@@ -26,8 +33,7 @@ pub struct Target {
 }
 
 /// Resolve the sampling frame for the experiment.
-pub fn build_targets(scanner: &Scanner, domains: &[String]) -> Vec<Target> {
-    let pop = scanner.population();
+pub fn build_targets(pop: &Population, domains: &[String]) -> Vec<Target> {
     domains
         .iter()
         .filter_map(|d| {
@@ -45,17 +51,15 @@ pub fn build_targets(scanner: &Scanner, domains: &[String]) -> Vec<Target> {
         .collect()
 }
 
-/// §5.1: cross-domain session-ID probing. `on_resuming` fires once per
-/// domain that resumes its own session (the grouping universe), `on_edge`
-/// once per observed cross-domain resumption; grouping is left to the
+/// §5.1: cross-domain session-ID probing. `on_link` fires once per
+/// observed cross-domain resumption, with the domain whose session was
+/// offered and the sibling that resumed it; grouping is left to the
 /// caller's accumulator.
-pub fn session_cache_scan_streaming(
+pub fn session_cache_scan(
     scanner: &mut Scanner,
     targets: &[Target],
     now: u64,
-    per_domain_samples: usize,
-    mut on_resuming: impl FnMut(&str),
-    mut on_edge: impl FnMut(SharingEdge),
+    mut on_link: impl FnMut(&str, &str),
 ) {
     // Index by AS and by IP. Ordered maps: `take(N)` below samples the
     // first N candidates, so the sampling frame must be stable.
@@ -86,7 +90,6 @@ pub fn session_cache_scan_streaming(
         if !self_resumes {
             continue;
         }
-        on_resuming(&t.domain);
 
         // Candidate siblings: up to N from the same AS, up to N on the
         // same IP (deduplicated, self excluded).
@@ -97,7 +100,7 @@ pub fn session_cache_scan_streaming(
                     .iter()
                     .copied()
                     .filter(|&j| j != i)
-                    .take(per_domain_samples),
+                    .take(SIBLING_SAMPLES),
             );
         }
         candidates.extend(
@@ -105,7 +108,7 @@ pub fn session_cache_scan_streaming(
                 .iter()
                 .copied()
                 .filter(|&j| j != i)
-                .take(per_domain_samples),
+                .take(SIBLING_SAMPLES),
         );
         candidates.sort_unstable();
         candidates.dedup();
@@ -122,46 +125,21 @@ pub fn session_cache_scan_streaming(
                 .map(|o| o.resumed == Some(ResumeKind::SessionId))
                 .unwrap_or(false);
             if resumed {
-                on_edge(SharingEdge {
-                    a: t.domain.clone(),
-                    b: sibling.domain.clone(),
-                    kind: SharingKind::SessionCache,
-                });
+                on_link(&t.domain, &sibling.domain);
             }
         }
     }
 }
 
-/// §5.2: STEK sharing. `connections` grabs across `window_secs`, then one
-/// more after `snapshot_offset`. Each ticket sighting goes to
-/// `on_sighting` as it is observed; grouping by shared identifier is left
-/// to the caller's accumulator.
-pub fn stek_sharing_scan_streaming(
+/// One §5.2 STEK-sharing round: one grab per target at `at`. Each ticket
+/// sighting goes to `on_sighting` as it is observed.
+pub fn stek_sharing_round(
     scanner: &mut Scanner,
     targets: &[Target],
-    now: u64,
-    window_secs: u64,
-    connections: u32,
-    snapshot_offset: u64,
+    at: u64,
     mut on_sighting: impl FnMut(TicketSighting),
 ) {
     for t in targets {
-        for k in 0..connections {
-            let at = now + (window_secs * k as u64) / connections.max(1) as u64;
-            let g = scanner.grab(&t.domain, at, &GrabOptions::default());
-            if let Some(obs) = g.ok() {
-                if let (true, Some(id), Some(nst)) = (obs.trusted, &obs.stek_id, &obs.ticket) {
-                    on_sighting(TicketSighting {
-                        domain: t.domain.clone(),
-                        day: at / 86_400,
-                        stek_id: id.clone(),
-                        lifetime_hint: nst.lifetime_hint,
-                    });
-                }
-            }
-        }
-        // The 30-minute-window snapshot scan, joined with the above.
-        let at = now + snapshot_offset;
         let g = scanner.grab(&t.domain, at, &GrabOptions::default());
         if let Some(obs) = g.ok() {
             if let (true, Some(id), Some(nst)) = (obs.trusted, &obs.stek_id, &obs.ticket) {
@@ -176,14 +154,13 @@ pub fn stek_sharing_scan_streaming(
     }
 }
 
-/// §5.3: Diffie-Hellman value sharing, DHE-only plus ECDHE-only offers.
-/// Each key-exchange sighting goes to `on_sighting` as it is observed.
-pub fn dh_sharing_scan_streaming(
+/// One §5.3 DH-sharing round: one DHE-only and one ECDHE-only value-only
+/// grab per target at `at`. Each key-exchange sighting goes to
+/// `on_sighting` as it is observed.
+pub fn dh_sharing_round(
     scanner: &mut Scanner,
     targets: &[Target],
-    now: u64,
-    window_secs: u64,
-    connections: u32,
+    at: u64,
     mut on_sighting: impl FnMut(KexSighting),
 ) {
     for t in targets {
@@ -191,22 +168,18 @@ pub fn dh_sharing_scan_streaming(
             (SuiteOffer::DheOnly, KexKind::Dhe),
             (SuiteOffer::EcdheOnly, KexKind::Ecdhe),
         ] {
-            for k in 0..connections {
-                let at = now + (window_secs * k as u64) / connections.max(1) as u64;
-                let g = scanner.grab_kex(&t.domain, at, offer);
-                if let Ok(KexObservation {
-                    trusted: true,
-                    kex_value_fp: Some(value_fp),
-                    ..
-                }) = g.outcome
-                {
-                    on_sighting(KexSighting {
-                        domain: t.domain.clone(),
-                        day: at / 86_400,
-                        kex,
-                        value_fp,
-                    });
-                }
+            if let Ok(KexObservation {
+                trusted: true,
+                kex_value_fp: Some(value_fp),
+                ..
+            }) = scanner.grab_kex(&t.domain, at, offer).outcome
+            {
+                on_sighting(KexSighting {
+                    domain: t.domain.clone(),
+                    day: at / 86_400,
+                    kex,
+                    value_fp,
+                });
             }
         }
     }
@@ -227,17 +200,10 @@ mod tests {
             acc.add(&t.domain);
         }
         let mut edges = 0;
-        session_cache_scan_streaming(
-            s,
-            targets,
-            9_000,
-            5,
-            |_| {},
-            |e| {
-                acc.link(&e.a, &e.b);
-                edges += 1;
-            },
-        );
+        session_cache_scan(s, targets, 9_000, |a, b| {
+            acc.link(a, b);
+            edges += 1;
+        });
         (acc.service_groups(), edges)
     }
 
@@ -268,9 +234,8 @@ mod tests {
     #[test]
     fn targets_resolve_with_as() {
         let p = pop();
-        let mut s = Scanner::new(p, "targets");
         let domains = operator_domains(p, "cirrusflare", 5);
-        let targets = build_targets(&mut s, &domains);
+        let targets = build_targets(p, &domains);
         assert_eq!(targets.len(), 5);
         assert!(targets.iter().all(|t| t.as_id.is_some()));
         // All in the same AS (one operator).
@@ -286,7 +251,7 @@ mod tests {
         // fastlane shares one cache across all its domains.
         let domains = operator_domains(p, "fastlane", 4);
         assert!(domains.len() >= 2, "need at least 2 fastlane domains");
-        let targets = build_targets(&mut s, &domains);
+        let targets = build_targets(p, &domains);
         let (groups, edges) = cache_groups(&mut s, &targets);
         assert!(edges > 0, "cross-domain resumption observed");
         assert_eq!(groups[0].size(), domains.len(), "one big group");
@@ -297,7 +262,7 @@ mod tests {
         let p = pop();
         let mut s = Scanner::new(p, "xd-separate");
         let domains = vec!["yahoo.sim".to_string(), "netflix.sim".to_string()];
-        let targets = build_targets(&mut s, &domains);
+        let targets = build_targets(p, &domains);
         let (groups, edges) = cache_groups(&mut s, &targets);
         assert_eq!(edges, 0);
         assert!(groups.iter().all(|g| g.size() == 1));
@@ -309,11 +274,16 @@ mod tests {
         let mut s = Scanner::new(p, "xd-stek");
         let mut domains = operator_domains(p, "teemall", 3);
         domains.push("yahoo.sim".into());
-        let targets = build_targets(&mut s, &domains);
+        let targets = build_targets(p, &domains);
         let mut acc = GroupAcc::exact();
-        stek_sharing_scan_streaming(&mut s, &targets, 20_000, 6 * 3_600, 10, 30 * 60, |x| {
-            acc.record(&x.domain, &x.stek_id, x.day)
-        });
+        for k in 0..3 {
+            let mut seen = Vec::new();
+            stek_sharing_round(&mut s, &targets, 20_000 + k * 3 * 3_600, |x| {
+                seen.push(x.domain.clone());
+                acc.record(&x.domain, &x.stek_id, x.day)
+            });
+            assert_eq!(seen, domains, "round {k}: one sighting per target");
+        }
         let groups = acc.service_groups();
         assert_eq!(groups[0].size(), 3, "teemall shares one STEK");
         assert!(groups
@@ -327,11 +297,13 @@ mod tests {
         let mut s = Scanner::new(p, "xd-dh");
         let mut domains = operator_domains(p, "rhombusspace", 3);
         domains.push("twitter.sim".into());
-        let targets = build_targets(&mut s, &domains);
+        let targets = build_targets(p, &domains);
         let mut acc = GroupAcc::exact();
-        dh_sharing_scan_streaming(&mut s, &targets, 30_000, 3_600, 4, |x| {
-            acc.record(&x.domain, &x.value_fp, x.day)
-        });
+        for k in 0..4 {
+            dh_sharing_round(&mut s, &targets, 30_000 + k * 900, |x| {
+                acc.record(&x.domain, &x.value_fp, x.day)
+            });
+        }
         let groups = acc.service_groups();
         // rhombusspace shares an ECDHE value (3-day reuse policy).
         assert_eq!(groups[0].size(), 3, "{groups:?}");

@@ -84,32 +84,9 @@ impl Dns {
             .collect()
     }
 
-    /// Number of registered domains (A records).
-    pub fn len(&self) -> usize {
-        self.a_records.len()
-    }
-
     /// True if the zone is empty.
     pub fn is_empty(&self) -> bool {
         self.a_records.is_empty()
-    }
-
-    /// A restricted copy of the zone covering only `domains` — the DNS
-    /// view a population shard hands its workers. A and MX records carry
-    /// over verbatim; lookups outside the subset miss, exactly as if the
-    /// shard's resolver knew nothing beyond its slice of the world.
-    pub fn subzone<'a>(&self, domains: impl IntoIterator<Item = &'a str>) -> Dns {
-        let mut out = Dns::new();
-        for d in domains {
-            let key = d.to_ascii_lowercase();
-            if let Some(ips) = self.a_records.get(&key) {
-                out.a_records.insert(key.clone(), ips.clone());
-            }
-            if let Some(mx) = self.mx_records.get(&key) {
-                out.mx_records.insert(key, mx.clone());
-            }
-        }
-        out
     }
 
     /// Remove a domain entirely (churn).
@@ -161,27 +138,6 @@ mod tests {
         );
         assert_eq!(dns.domains_with_mx("SMTP.BIGMAIL.SIM").len(), 2);
         assert!(dns.domains_with_mx("none.sim").is_empty());
-    }
-
-    #[test]
-    fn subzone_covers_exactly_the_subset() {
-        let mut dns = Dns::new();
-        dns.set_a("a.sim", vec![Ip(1), Ip(2)]);
-        dns.set_a("b.sim", vec![Ip(3)]);
-        dns.set_a("c.sim", vec![Ip(4)]);
-        dns.set_mx("a.sim", "smtp.bigmail.sim");
-        dns.set_mx("b.sim", "smtp.bigmail.sim");
-        let sub = dns.subzone(["a.sim", "b.sim", "nosuch.sim"]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(
-            sub.lookup_all("a.sim").unwrap(),
-            dns.lookup_all("a.sim").unwrap()
-        );
-        assert_eq!(sub.lookup_mx("b.sim"), Some("smtp.bigmail.sim"));
-        assert!(sub.lookup_all("c.sim").is_none(), "outside the subset");
-        assert!(sub.lookup_all("nosuch.sim").is_none());
-        // The parent zone is untouched.
-        assert_eq!(dns.len(), 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tls_shortcuts::core::observations::KexKind;
 use tls_shortcuts::core::report::pct;
 use tls_shortcuts::core::stream::{CountCdf, GroupAcc, SpanAcc};
 use tls_shortcuts::population::{Population, PopulationConfig};
-use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan_streaming};
+use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_round};
 use tls_shortcuts::scanner::daily::{run_campaign_streaming, CampaignData, CampaignOptions};
 use tls_shortcuts::scanner::Scanner;
 
@@ -85,19 +85,19 @@ fn main() {
 
     // --- STEK service groups (Table 6's shape). ---
     println!("\ninferring STEK service groups from a one-day sharing scan...");
-    let scanner2 = Scanner::new(&pop, "groups");
-    let frame = build_targets(&scanner2, &core);
-    let mut scanner2 = scanner2;
+    let frame = build_targets(&pop, &core);
+    let mut scanner2 = Scanner::new(&pop, "groups");
     let mut acc = GroupAcc::exact();
-    stek_sharing_scan_streaming(
-        &mut scanner2,
-        &frame,
-        40 * 86_400,
-        6 * 3_600,
-        10,
-        1_800,
-        |s| acc.record(&s.domain, &s.stek_id, s.day),
-    );
+    // Ten rounds across six hours, then a snapshot 30 minutes later (§5.2).
+    let t0 = 40 * 86_400;
+    let rounds = (0..10)
+        .map(|k| t0 + k * 6 * 3_600 / 10)
+        .chain([t0 + 6 * 3_600 + 1_800]);
+    for at in rounds {
+        stek_sharing_round(&mut scanner2, &frame, at, |s| {
+            acc.record(&s.domain, &s.stek_id, s.day)
+        });
+    }
     let groups = acc.service_groups();
     println!("  {} groups; the five largest:", groups.len());
     for g in groups.iter().take(5) {

@@ -8,7 +8,7 @@ use tls_shortcuts::core::observations::KexKind;
 use tls_shortcuts::core::stream::{GroupAcc, SpanAcc};
 use tls_shortcuts::crypto::drbg::HmacDrbg;
 use tls_shortcuts::population::{Population, PopulationConfig};
-use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan_streaming};
+use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_round};
 use tls_shortcuts::scanner::daily::{run_campaign_streaming, CampaignData, CampaignOptions};
 use tls_shortcuts::scanner::{GrabOptions, Scanner};
 use tls_shortcuts::tls::config::ClientConfig;
@@ -112,13 +112,18 @@ fn kex_reuse_detected_only_where_configured() {
 fn stek_groups_match_configured_units() {
     let pop = world(102, 2_000, 8);
     let core = pop.core_trusted();
-    let scanner = Scanner::new(&pop, "e2e-groups");
-    let frame = build_targets(&scanner, &core);
-    let mut scanner = scanner;
+    let frame = build_targets(&pop, &core);
+    let mut scanner = Scanner::new(&pop, "e2e-groups");
     let mut acc = GroupAcc::exact();
-    stek_sharing_scan_streaming(&mut scanner, &frame, 9_000, 6 * 3_600, 6, 1_800, |s| {
-        acc.record(&s.domain, &s.stek_id, s.day)
-    });
+    // Six rounds across six hours, then a snapshot 30 minutes later.
+    let rounds = (0..6)
+        .map(|k| 9_000 + k * 3_600)
+        .chain([9_000 + 6 * 3_600 + 1_800]);
+    for at in rounds {
+        stek_sharing_round(&mut scanner, &frame, at, |s| {
+            acc.record(&s.domain, &s.stek_id, s.day)
+        });
+    }
     let groups = acc.service_groups();
     // Every multi-domain group must correspond to one configured STEK unit.
     let mut multi_checked = 0;
