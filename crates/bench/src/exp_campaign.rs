@@ -20,7 +20,7 @@ use ts_core::par::{default_workers, for_each_shard, ShardPlan};
 use ts_core::report::{compare_line, pct, TextTable};
 use ts_core::stream::{CountCdf, GroupAcc, Merge, SpanAcc, TierAcc};
 use ts_core::tiers::tiers_for_population;
-use ts_scanner::daily::{run_campaign_streaming, CampaignOptions, CampaignSink};
+use ts_scanner::daily::{run_campaign_streaming, scan_start, CampaignOptions, CampaignSink};
 use ts_scanner::Scanner;
 
 /// Sliding eviction horizon for campaign accumulators, in days.
@@ -74,6 +74,8 @@ pub struct CampaignStats {
     /// Shared-identifier entries the group trackers evicted at the
     /// horizon over the whole campaign.
     pub evicted_group_ids: u64,
+    /// Expired server sessions the world discarded at the day boundaries.
+    pub discarded_sessions: u64,
 }
 
 /// Span analysis bundles for the campaign.
@@ -185,6 +187,14 @@ impl CampaignSink for ShardState {
 /// ServerHello promises a ticket, as issuing it would have, so the
 /// managers rotate exactly as under completed handshakes and every
 /// output stays what the completed handshakes produced.
+///
+/// **Server state is discarded at the day boundary.** Before each day's
+/// fan-out the world drops every session that expired by that day's
+/// 06:00 scan start. No grab of that day or a later one runs earlier,
+/// so none could resume a dropped session, and the boundary is the one
+/// instant every shard agrees on. Without it the session caches grow
+/// with the days: no campaign grab offers resumption, so nothing else
+/// ever removes an entry.
 pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     let pop = ctx.fresh_pop();
     let days = ctx.config.study_days;
@@ -197,7 +207,9 @@ pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     let mut stek_group_acc = GroupAcc::with_horizon(horizon);
     let mut dh_group_acc = GroupAcc::with_horizon(horizon);
     let mut peak_live_entries = 0usize;
+    let mut discarded_sessions = 0u64;
     for day in 0..days {
+        discarded_sessions += pop.discard_expired_sessions(scan_start(day));
         for_each_shard(&mut states, default_workers(), |shard_id, state| {
             let mut scanner = Scanner::new(&pop, &format!("daily-campaign-{day}-{shard_id}"));
             let options = CampaignOptions::new().days(day..day + 1);
@@ -264,6 +276,7 @@ pub fn run_daily_campaign(ctx: &Context) -> Campaign {
             domain_days: domain_count as u64 * days,
             peak_live_entries,
             evicted_group_ids,
+            discarded_sessions,
         },
     }
 }
@@ -543,6 +556,10 @@ mod tests {
         assert!(campaign.spans.stek.pair_count() > 0);
         assert!(campaign.stats.shards > 0);
         assert!(campaign.stats.peak_live_entries > 0);
+        assert!(
+            campaign.stats.discarded_sessions > 0,
+            "sessions expire daily"
+        );
         let f3 = fig3_stek_lifetime(&ctx);
         assert!(!f3.cdf.is_empty());
         assert!(f3.report.contains("Figure 3"));

@@ -32,6 +32,7 @@
 
 use crate::tiers::Tier;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The shard-merge law: `a.merge(b)` folds `b`'s stream into `a`.
 ///
@@ -61,6 +62,50 @@ pub fn fp128(s: &str) -> u128 {
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// Names interned to dense indices in first-appearance order: the domain
+/// keys of [`SpanAcc`] and [`GroupAcc`]. Each name is stored once, shared
+/// by the lookup map and the index-ordered list.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    // Lookup-only hash map (get/insert; never iterated): insertion order
+    // is captured by `names`, so the hash seed cannot leak into results.
+    indices: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
+}
+
+impl Interner {
+    /// The index of `name`, interning it if it is new.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&i) = self.indices.get(name) {
+            return i;
+        }
+        let i = u32::try_from(self.names.len()).expect("fewer than 2^32 interned names");
+        let name: Arc<str> = name.into();
+        self.indices.insert(Arc::clone(&name), i);
+        self.names.push(name);
+        i
+    }
+
+    /// The index of `name`, if interned.
+    fn get(&self, name: &str) -> Option<u32> {
+        self.indices.get(name).copied()
+    }
+
+    /// The name interned at index `i`.
+    fn name(&self, i: usize) -> &str {
+        &self.names[i]
+    }
+
+    /// Interned names, in index order.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(|n| &**n)
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
 }
 
 /// Set of study days, packed 64 per word so merge is a bitwise OR.
@@ -126,10 +171,11 @@ pub struct DomainSpans {
 pub struct SpanAcc {
     horizon_days: Option<u64>,
     watermark: u64,
-    // (domain, id fingerprint) -> (first_day, last_day). Ordered so
-    // domain_spans() can group by domain in one keyed pass.
-    live: BTreeMap<(String, u128), (u64, u64)>,
-    domains: BTreeMap<String, DomainAgg>,
+    domains: Interner,
+    // (domain index, id fingerprint) -> (first_day, last_day).
+    live: BTreeMap<(u32, u128), (u64, u64)>,
+    // Per domain index: the pairs already retired and the days seen.
+    aggs: Vec<DomainAgg>,
     closed_pairs: u64,
 }
 
@@ -144,26 +190,31 @@ impl SpanAcc {
         SpanAcc {
             horizon_days,
             watermark: 0,
+            domains: Interner::default(),
             live: BTreeMap::new(),
-            domains: BTreeMap::new(),
+            aggs: Vec::new(),
             closed_pairs: 0,
         }
+    }
+
+    /// The index of `domain`, interning it (with an empty aggregate) if
+    /// it is new.
+    fn intern(&mut self, domain: &str) -> u32 {
+        let d = self.domains.intern(domain);
+        if d as usize == self.aggs.len() {
+            self.aggs.push(DomainAgg::default());
+        }
+        d
     }
 
     /// Record one sighting of `id` at `domain` on `day`.
     pub fn record(&mut self, domain: &str, id: &str, day: u64) {
         self.watermark = self.watermark.max(day);
-        let entry = self
-            .live
-            .entry((domain.to_string(), fp128(id)))
-            .or_insert((day, day));
+        let d = self.intern(domain);
+        let entry = self.live.entry((d, fp128(id))).or_insert((day, day));
         entry.0 = entry.0.min(day);
         entry.1 = entry.1.max(day);
-        self.domains
-            .entry(domain.to_string())
-            .or_default()
-            .days
-            .insert(day);
+        self.aggs[d as usize].days.insert(day);
     }
 
     /// Advance the watermark to `day` and retire pairs past the horizon.
@@ -177,55 +228,48 @@ impl SpanAcc {
             Some(c) => c,
             None => return,
         };
-        let mut retired: Vec<(String, u64)> = Vec::new();
-        self.live.retain(|(domain, _), &mut (first, last)| {
-            if last < cutoff {
-                retired.push((domain.clone(), last - first + 1));
-                false
-            } else {
-                true
+        let (aggs, closed_pairs) = (&mut self.aggs, &mut self.closed_pairs);
+        self.live.retain(|&(d, _), &mut (first, last)| {
+            if last >= cutoff {
+                return true;
             }
-        });
-        for (domain, span) in retired {
-            let agg = self.domains.entry(domain).or_default();
-            agg.max_closed_span = agg.max_closed_span.max(span);
+            let agg = &mut aggs[d as usize];
+            agg.max_closed_span = agg.max_closed_span.max(last - first + 1);
             agg.closed_ids += 1;
-            self.closed_pairs += 1;
-        }
+            *closed_pairs += 1;
+            false
+        });
     }
 
     /// Per-domain span statistics, keyed in domain order.
     pub fn domain_spans(&self) -> BTreeMap<String, DomainSpans> {
-        let mut out: BTreeMap<String, DomainSpans> = self
-            .domains
+        let mut spans: Vec<DomainSpans> = self
+            .aggs
             .iter()
-            .filter(|(_, agg)| agg.days.len() > 0)
-            .map(|(domain, agg)| {
-                (
-                    domain.clone(),
-                    DomainSpans {
-                        max_span_days: agg.max_closed_span,
-                        distinct_ids: agg.closed_ids as usize,
-                        days_seen: agg.days.len(),
-                    },
-                )
+            .map(|agg| DomainSpans {
+                max_span_days: agg.max_closed_span,
+                distinct_ids: agg.closed_ids as usize,
+                days_seen: agg.days.len(),
             })
             .collect();
-        for ((domain, _), &(first, last)) in &self.live {
-            let ds = out
-                .get_mut(domain)
-                .expect("live pair implies domain recorded");
+        for (&(d, _), &(first, last)) in &self.live {
+            let ds = &mut spans[d as usize];
             ds.max_span_days = ds.max_span_days.max(last - first + 1);
             ds.distinct_ids += 1;
         }
-        out
+        spans
+            .into_iter()
+            .enumerate()
+            .map(|(d, ds)| (self.domains.name(d).to_string(), ds))
+            .collect()
     }
 
     /// Span of one live (domain, id) pair; pairs retired by the horizon
     /// are no longer individually addressable.
     pub fn span_of(&self, domain: &str, id: &str) -> Option<u64> {
+        let d = self.domains.get(domain)?;
         self.live
-            .get(&(domain.to_string(), fp128(id)))
+            .get(&(d, fp128(id)))
             .map(|&(first, last)| last - first + 1)
     }
 
@@ -280,13 +324,18 @@ impl Merge for SpanAcc {
         );
         self.watermark = self.watermark.max(other.watermark);
         self.closed_pairs += other.closed_pairs;
-        for ((domain, id), (first, last)) in other.live {
-            let entry = self.live.entry((domain, id)).or_insert((first, last));
+        // The other side's indices are its own: re-intern its domains.
+        let remap: Vec<u32> = other.domains.names().map(|d| self.intern(d)).collect();
+        for ((d, id), (first, last)) in other.live {
+            let entry = self
+                .live
+                .entry((remap[d as usize], id))
+                .or_insert((first, last));
             entry.0 = entry.0.min(first);
             entry.1 = entry.1.max(last);
         }
-        for (domain, agg) in other.domains {
-            let mine = self.domains.entry(domain).or_default();
+        for (d, agg) in other.aggs.into_iter().enumerate() {
+            let mine = &mut self.aggs[remap[d] as usize];
             mine.max_closed_span = mine.max_closed_span.max(agg.max_closed_span);
             mine.closed_ids += agg.closed_ids;
             mine.days.union(&agg.days);
@@ -489,10 +538,7 @@ impl Merge for TierAcc {
 pub struct GroupAcc {
     horizon_days: Option<u64>,
     watermark: u64,
-    // Lookup-only hash map (get/insert; never iterated): insertion order
-    // is captured by `names`, so the hash seed cannot leak into results.
-    indices: HashMap<String, usize>,
-    names: Vec<String>,
+    names: Interner,
     parent: Vec<usize>,
     size: Vec<usize>,
     // id fingerprint -> (first holder index, last day sighted)
@@ -518,14 +564,11 @@ impl GroupAcc {
     }
 
     fn index(&mut self, key: &str) -> usize {
-        if let Some(&i) = self.indices.get(key) {
-            return i;
+        let i = self.names.intern(key) as usize;
+        if i == self.parent.len() {
+            self.parent.push(i);
+            self.size.push(1);
         }
-        let i = self.names.len();
-        self.indices.insert(key.to_string(), i);
-        self.names.push(key.to_string());
-        self.parent.push(i);
-        self.size.push(1);
         i
     }
 
@@ -602,7 +645,7 @@ impl GroupAcc {
     /// All groups as sorted member-name vectors, ordered (size desc, min
     /// member index).
     pub fn groups(&mut self) -> Vec<Vec<String>> {
-        if self.names.is_empty() {
+        if self.names.len() == 0 {
             return Vec::new();
         }
         let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -617,7 +660,10 @@ impl GroupAcc {
         sets.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
         sets.into_iter()
             .map(|set| {
-                let mut g: Vec<String> = set.into_iter().map(|i| self.names[i].clone()).collect();
+                let mut g: Vec<String> = set
+                    .into_iter()
+                    .map(|i| self.names.name(i).to_string())
+                    .collect();
                 g.sort();
                 g
             })
@@ -636,7 +682,7 @@ impl GroupAcc {
 
     /// True if no domains registered.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.names.len() == 0
     }
 
     /// Identifiers currently tracked (inside the horizon).
@@ -662,9 +708,7 @@ impl Merge for GroupAcc {
         // partitions: unioning each member with its root reproduces the
         // closure of the combined edge streams.
         let mut other = other;
-        let remap: Vec<usize> = (0..other.names.len())
-            .map(|i| self.index(&other.names[i]))
-            .collect();
+        let remap: Vec<usize> = other.names.names().map(|n| self.index(n)).collect();
         for i in 0..other.names.len() {
             let root = other.find(i);
             if root != i {

@@ -125,6 +125,54 @@ proptest! {
         prop_assert_eq!(merged.pair_count(), single.pair_count());
     }
 
+    // --- SpanAcc: each shard numbers its domains in its own order ---
+
+    #[test]
+    fn span_acc_merge_is_independent_of_interning_order(
+        stream in sightings(150),
+        horizon in 0u64..12,
+    ) {
+        // A shard interns a domain at its first sighting. Day-lockstep
+        // replay: each day, even shards take their sightings forward and
+        // odd shards backward, and the single accumulator takes the
+        // shards' day batches one after another. Without a horizon the
+        // split is arbitrary, so shards share domains and number them
+        // differently; with one it is by domain, as the campaign's is.
+        let horizon = (horizon > 0).then_some(horizon);
+        let mut stream = stream;
+        stream.sort_by_key(|(_, _, day, _)| *day);
+        let shard_of = |domain: &str, shard: usize| match horizon {
+            Some(_) => domain.as_bytes()[1] as usize % 4,
+            None => shard,
+        };
+        let mut single = SpanAcc::with_horizon(horizon);
+        let mut shards: Vec<SpanAcc> = (0..4).map(|_| SpanAcc::with_horizon(horizon)).collect();
+        let last_day = stream.iter().map(|(_, _, d, _)| *d).max().unwrap();
+        for day in 0..=last_day {
+            for (s, shard) in shards.iter_mut().enumerate() {
+                let mut batch: Vec<_> = stream
+                    .iter()
+                    .filter(|(domain, _, d, sh)| *d == day && shard_of(domain, *sh) == s)
+                    .collect();
+                if s % 2 == 1 {
+                    batch.reverse();
+                }
+                for (domain, id, d, _) in batch {
+                    shard.record(domain, id, *d);
+                    single.record(domain, id, *d);
+                }
+            }
+            single.advance(day);
+            for s in &mut shards {
+                s.advance(day);
+            }
+        }
+        let merged = merge_all(shards);
+        prop_assert_eq!(merged.domain_spans(), single.domain_spans());
+        prop_assert_eq!(merged.pair_count(), single.pair_count());
+        prop_assert_eq!(merged.live_pairs(), single.live_pairs());
+    }
+
     // --- CountCdf / TierAcc ---
 
     #[test]

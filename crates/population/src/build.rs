@@ -423,6 +423,20 @@ impl Population {
             .cloned()
             .collect()
     }
+
+    /// Discard every server session that expired by `now` from every
+    /// terminator's session cache; returns how many were dropped.
+    ///
+    /// Call it only at an instant no later grab precedes, such as a day
+    /// boundary at the coming day's scan start: no grab can then resume
+    /// what it drops, so nothing a scan observes changes.
+    pub fn discard_expired_sessions(&self, now: u64) -> u64 {
+        self.terminators
+            .iter()
+            .filter_map(|t| t.session_cache.as_ref())
+            .map(|cache| cache.sweep(now))
+            .sum()
+    }
 }
 
 /// Build one notable single domain on its own terminator.

@@ -119,6 +119,7 @@ mod tests {
     use ts_crypto::drbg::HmacDrbg;
     use ts_crypto::rsa::RsaPrivateKey;
     use ts_tls::ephemeral::EphemeralPolicy;
+    use ts_tls::session::SessionState;
     use ts_tls::suites::CipherSuite;
     use ts_tls::ticket::{RotationPolicy, StekManager, TicketFormat};
     use ts_x509::{Certificate, CertificateParams, DistinguishedName, Validity};
@@ -180,7 +181,7 @@ mod tests {
             Some(SharedSessionCache::new(300, 1000)),
             Some(stek),
             EphemeralCache::new(
-                EphemeralPolicy::FreshPerHandshake,
+                EphemeralPolicy::ReuseForever,
                 DhGroup::Sim256,
                 HmacDrbg::new(b"t-eph"),
             ),
@@ -234,17 +235,26 @@ mod tests {
         );
         let ca = t.server_config("a.sim", 0).unwrap();
         let cb = t.server_config("b.sim", 0).unwrap();
-        assert!(ca
-            .session_cache
-            .as_ref()
-            .unwrap()
-            .same_cache(cb.session_cache.as_ref().unwrap()));
+        // A session stored through one vhost's config resumes through the
+        // other's: the §5.1 cross-domain cache.
+        let session = SessionState {
+            master_secret: [7; 48],
+            cipher_suite: CipherSuite::EcdheRsaAes128CbcSha256,
+            established_at: 10,
+            server_name: "a.sim".into(),
+        };
+        let stored = ca.session_cache.as_ref().unwrap();
+        stored.insert("a.sim", vec![42], session.clone(), 10);
+        let resumed = cb.session_cache.as_ref().unwrap();
+        assert_eq!(resumed.lookup("b.sim", &[42], 20), Some(session));
         assert!(ca
             .tickets
             .as_ref()
             .unwrap()
             .same_manager(cb.tickets.as_ref().unwrap()));
-        assert!(ca.ephemeral.same_cache(&cb.ephemeral));
+        // One reused value serves both vhosts.
+        let a_value = ca.ephemeral.ecdhe_keypair(30);
+        assert_eq!(a_value.public, cb.ephemeral.ecdhe_keypair(40).public);
     }
 
     #[test]

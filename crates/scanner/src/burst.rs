@@ -4,6 +4,9 @@
 //! cipher offer, counting suite support, trust, and within-burst reuse.
 //! The offer decides what is counted: a browser-like offer counts STEK
 //! identifiers, a DHE-only or ECDHE-only offer counts key-exchange values.
+//! Only the ticket burst completes its handshakes, since it reads the
+//! NewSessionTicket; the trust check and the key-exchange bursts read the
+//! verified server flight alone ([`Scanner::grab_kex`]).
 
 use crate::grab::{GrabFailure, GrabOptions, Scanner, SuiteOffer};
 use std::collections::BTreeSet;
@@ -55,34 +58,35 @@ pub fn burst_scan(
         funnel.non_blacklisted += 1;
         // Trust is established with a full (browser-like) offer first, as
         // the paper separates "browser-trusted TLS" from per-offer support.
-        let trust_probe = scanner.grab(domain, now, &GrabOptions::new());
-        let trusted = trust_probe.ok().map(|o| o.trusted).unwrap_or(false);
+        let trust_probe = scanner.grab_kex(domain, now, SuiteOffer::All);
+        let trusted = trust_probe.ok().is_some_and(|o| o.trusted);
         if !trusted {
             continue;
         }
         funnel.trusted_tls += 1;
         BURST_DOMAINS.inc();
 
-        let opts = GrabOptions::new().suites(offer);
         // `sightings` counts the connections the offer is judged on:
-        // every completed handshake for a key-exchange offer, every
+        // every completed server flight for a key-exchange offer, every
         // ticket for the ticket funnel. `distinct` holds what they showed.
         let mut sightings = 0u32;
         let mut distinct: BTreeSet<String> = BTreeSet::new();
         for i in 0..CONNECTIONS {
             // "In quick succession": a few seconds apart.
             BURST_CONNECTIONS.inc();
-            let g = scanner.grab(domain, now + i as u64, &opts);
-            match g.outcome {
-                Ok(obs) if counts_steks => {
-                    if let Some(id) = obs.stek_id {
-                        sightings += 1;
-                        distinct.insert(id);
-                    }
-                }
-                Ok(obs) => {
+            let at = now + i as u64;
+            let shown = if counts_steks {
+                let g = scanner.grab(domain, at, &GrabOptions::new());
+                g.outcome.map(|obs| obs.stek_id)
+            } else {
+                let g = scanner.grab_kex(domain, at, offer);
+                g.outcome.map(|obs| obs.kex_value_fp)
+            };
+            match shown {
+                Ok(None) if counts_steks => {} // no ticket issued
+                Ok(shown) => {
                     sightings += 1;
-                    distinct.extend(obs.kex_value_fp);
+                    distinct.extend(shown);
                 }
                 Err(GrabFailure::Timeout) => {}
                 Err(_) => break, // hard failure (e.g. no common suite)
@@ -162,6 +166,93 @@ mod tests {
         assert!(funnel.supported >= funnel.repeat_twice);
         assert!(funnel.repeat_twice >= funnel.all_same);
         assert!(funnel.trusted_tls > 0, "some trusted domains in sample");
+    }
+
+    /// The burst as it ran when every connection completed its
+    /// handshake, trust check included.
+    fn full_burst(
+        scanner: &mut Scanner,
+        domains: &[String],
+        now: u64,
+        offer: SuiteOffer,
+    ) -> BurstFunnel {
+        let mut funnel = BurstFunnel {
+            listed: domains.len(),
+            ..Default::default()
+        };
+        for domain in domains {
+            if scanner.population().blacklist.contains(domain) {
+                continue;
+            }
+            funnel.non_blacklisted += 1;
+            let trust_probe = scanner.grab(domain, now, &GrabOptions::new());
+            if !trust_probe.ok().is_some_and(|o| o.trusted) {
+                continue;
+            }
+            funnel.trusted_tls += 1;
+            let mut sightings = 0u32;
+            let mut distinct: BTreeSet<String> = BTreeSet::new();
+            for i in 0..CONNECTIONS {
+                let opts = GrabOptions::new().suites(offer);
+                match scanner.grab(domain, now + i as u64, &opts).outcome {
+                    Ok(obs) if offer == SuiteOffer::All => {
+                        if let Some(id) = obs.stek_id {
+                            sightings += 1;
+                            distinct.insert(id);
+                        }
+                    }
+                    Ok(obs) => {
+                        sightings += 1;
+                        distinct.extend(obs.kex_value_fp);
+                    }
+                    Err(GrabFailure::Timeout) => {}
+                    Err(_) => break,
+                }
+            }
+            if sightings == 0 {
+                continue;
+            }
+            funnel.supported += 1;
+            let distinct = distinct.len() as u32;
+            if sightings > 1 && distinct > 0 && distinct < sightings {
+                funnel.repeat_twice += 1;
+            }
+            if sightings > 1 && distinct == 1 {
+                funnel.all_same += 1;
+            }
+        }
+        funnel
+    }
+
+    #[test]
+    fn value_only_bursts_agree_with_full_bursts() {
+        // Two worlds from one key material, scanned by scanners of one
+        // label, run Table 1's three bursts on its three days in order.
+        // Stopping at the verified server flight must not move a funnel.
+        let cfg = PopulationConfig::new(11, 300);
+        let world = Population::build(cfg.clone());
+        let full_world = Population::build_with(cfg, world.keys.clone());
+        let mut scanner = Scanner::new(&world, "burst-parity");
+        let mut full = Scanner::new(&full_world, "burst-parity");
+        for (offer, day) in [
+            (SuiteOffer::DheOnly, 1),
+            (SuiteOffer::EcdheOnly, 2),
+            (SuiteOffer::All, 4),
+        ] {
+            let domains = world.churn.list_for_day(day);
+            let now = day * 86_400 + 4 * 3_600;
+            let funnel = burst_scan(&mut scanner, &domains, now, offer);
+            assert_eq!(
+                funnel,
+                full_burst(&mut full, &domains, now, offer),
+                "{offer:?}"
+            );
+            assert!(funnel.repeat_twice > 0, "{offer:?}: {funnel:?}");
+            assert!(
+                funnel.supported < funnel.trusted_tls,
+                "{offer:?}: {funnel:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,12 @@ static CAMPAIGN_ATTEMPTS: Counter = Counter::new("scanner.campaign.attempts");
 /// Seconds after midnight each day's scan starts (06:00).
 const SCAN_TIME_OF_DAY: u64 = 6 * 3_600;
 
+/// The instant day `day`'s scan starts (06:00): every grab of that day
+/// runs at or after it.
+pub fn scan_start(day: u64) -> u64 {
+    day * DAY + SCAN_TIME_OF_DAY
+}
+
 /// Options for a daily campaign.
 ///
 /// Construct with [`CampaignOptions::new`] and chain setters:
@@ -103,7 +109,7 @@ pub fn run_campaign_streaming(
         (SuiteOffer::EcdheThenRsa, KexKind::Ecdhe, 2 * MINUTE),
     ];
     for day in options.days.clone() {
-        let clock = Clock::at(day * DAY + SCAN_TIME_OF_DAY);
+        let clock = Clock::at(scan_start(day));
         let now = clock.now();
         debug_assert_eq!(clock.day(), day);
         for domain in domains_for_day(day) {
@@ -154,6 +160,7 @@ mod tests {
     use std::sync::OnceLock;
     use ts_core::stream::{DomainSpans, SpanAcc};
     use ts_population::{Population, PopulationConfig};
+    use ts_tls::cache::SharedSessionCache;
 
     fn pop() -> &'static Population {
         static POP: OnceLock<Population> = OnceLock::new();
@@ -323,6 +330,50 @@ mod tests {
             data.tickets.iter().map(|s| s.domain.as_str()).collect();
         assert!(distinct.len() > domains.len(), "some STEK rotated");
         assert!(!data.kex.is_empty());
+    }
+
+    #[test]
+    fn discarding_expired_sessions_changes_no_sighting() {
+        // Two worlds from one key material, scanned by scanners of one
+        // label: one discards the sessions expired by each day's scan
+        // start, the other keeps every session. No campaign grab offers
+        // resumption and discarding draws nothing, so every sighting,
+        // STEK ids included, must be identical.
+        let cfg = PopulationConfig::new(41, 300);
+        let world = Population::build(cfg.clone());
+        let keeping_world = Population::build_with(cfg, world.keys.clone());
+        let targets = world.core_trusted();
+        let mut scanner = Scanner::new(&world, "daily-discard");
+        let mut keeping = Scanner::new(&keeping_world, "daily-discard");
+        let (mut data, mut kept) = (CampaignData::default(), CampaignData::default());
+        let mut discarded = 0;
+        for day in 0..4 {
+            let now = scan_start(day);
+            discarded += world.discard_expired_sessions(now);
+            // Each cache now holds exactly the sessions its twin holds
+            // that are no older than the cache's lifetime.
+            let caches = |w: &Population| -> Vec<SharedSessionCache> {
+                w.terminators
+                    .iter()
+                    .filter_map(|t| t.session_cache.clone())
+                    .collect()
+            };
+            for (cache, all) in caches(&world).iter().zip(caches(&keeping_world)) {
+                let unexpired: Vec<_> = all
+                    .dump_secrets()
+                    .into_iter()
+                    .filter(|(_, s)| now.saturating_sub(s.established_at) <= all.lifetime_secs())
+                    .collect();
+                assert_eq!(cache.dump_secrets(), unexpired, "day {day}");
+            }
+            let options = CampaignOptions::new().days(day..day + 1);
+            run_campaign_streaming(&mut scanner, &options, |_| targets.clone(), &mut data);
+            run_campaign_streaming(&mut keeping, &options, |_| targets.clone(), &mut kept);
+        }
+        assert!(discarded > 0, "no session expired");
+        assert_eq!(data.tickets, kept.tickets);
+        assert_eq!(data.kex, kept.kex);
+        assert!(!data.tickets.is_empty() && !data.kex.is_empty());
     }
 
     #[test]

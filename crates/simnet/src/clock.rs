@@ -10,8 +10,6 @@ pub const DAY: u64 = 86_400;
 pub const HOUR: u64 = 3_600;
 /// Seconds per minute.
 pub const MINUTE: u64 = 60;
-/// The study length in days (March 2 – May 4, 2016 = 63 days).
-pub const STUDY_DAYS: u64 = 63;
 
 /// A virtual clock. Plain value type — the simulation threads one through
 /// explicitly rather than hiding global state.

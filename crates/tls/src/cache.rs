@@ -12,6 +12,9 @@ use crate::session::SessionState;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use ts_telemetry::Counter;
+
+static SESSIONS_DISCARDED: Counter = Counter::new("tls.session_cache.discarded");
 
 /// A server-side session cache with TTL and capacity bounds.
 ///
@@ -86,11 +89,13 @@ impl SessionCache {
         }
     }
 
-    /// Drop expired entries (servers do this opportunistically).
-    pub fn sweep(&mut self, now: u64) {
+    /// Drop the entries expired at `now` and return how many there were.
+    pub fn sweep(&mut self, now: u64) -> usize {
         let lifetime = self.lifetime_secs;
+        let before = self.entries.len();
         self.entries
             .retain(|_, e| now.saturating_sub(e.stored_at) <= lifetime);
+        before - self.entries.len()
     }
 
     /// Number of live + expired entries currently held.
@@ -196,11 +201,12 @@ impl SharedSessionCache {
         self.lifetime_secs
     }
 
-    /// Sweep expired entries in every shard.
-    pub fn sweep(&self, now: u64) {
-        for shard in self.shards.iter() {
-            shard.lock().sweep(now);
-        }
+    /// Sweep expired entries in every shard; returns how many were
+    /// dropped, also counted under `tls.session_cache.discarded`.
+    pub fn sweep(&self, now: u64) -> u64 {
+        let dropped: usize = self.shards.iter().map(|s| s.lock().sweep(now)).sum();
+        SESSIONS_DISCARDED.add(dropped as u64);
+        dropped as u64
     }
 
     /// Entry count across all shards.
@@ -229,11 +235,6 @@ impl SharedSessionCache {
         for shard in self.shards.iter() {
             shard.lock().clear();
         }
-    }
-
-    /// Two handles to the same underlying cache?
-    pub fn same_cache(&self, other: &SharedSessionCache) -> bool {
-        Arc::ptr_eq(&self.shards, &other.shards)
     }
 }
 
@@ -269,7 +270,7 @@ mod tests {
         // Secret still recoverable by an attacker until swept.
         assert_eq!(c.len(), 1);
         assert_eq!(c.dump_secrets().len(), 1);
-        c.sweep(1000);
+        assert_eq!(c.sweep(1000), 1);
         assert_eq!(c.len(), 0);
         assert!(c.dump_secrets().is_empty());
     }
@@ -309,10 +310,26 @@ mod tests {
         let b = a.clone();
         a.insert("x.sim", vec![7], state(7), 0);
         assert_eq!(b.lookup("x.sim", &[7], 10), Some(state(7)));
-        assert!(a.same_cache(&b));
         let c = SharedSessionCache::new(300, 10);
-        assert!(!a.same_cache(&c));
         assert_eq!(c.lookup("x.sim", &[7], 10), None);
+    }
+
+    #[test]
+    fn shared_sweep_drops_only_expired_entries_in_every_shard() {
+        let cache = SharedSessionCache::new(300, 1000);
+        for i in 0u8..16 {
+            let stored_at = if i % 2 == 0 { 0 } else { 100 };
+            cache.insert(&format!("host-{i}.sim"), vec![i], state(i), stored_at);
+        }
+        assert_eq!(
+            cache.sweep(300),
+            0,
+            "every entry is at most its lifetime old"
+        );
+        assert_eq!(cache.sweep(301), 8, "the entries stored at 0 expired");
+        assert_eq!(cache.len(), 8);
+        assert!(cache.dump_secrets().iter().all(|(id, _)| id[0] % 2 == 1));
+        assert_eq!(cache.sweep(301), 0, "a second sweep finds nothing");
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl EphemeralCache {
             });
         (dhe, ecdhe)
     }
-
-    /// Same underlying cache (shared terminator)?
-    pub fn same_cache(&self, other: &EphemeralCache) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +273,6 @@ mod tests {
         let ka = a.dhe_keypair(0);
         let kb = b.dhe_keypair(50);
         assert_eq!(ka.public.to_hex(), kb.public.to_hex());
-        assert!(a.same_cache(&b));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! IANA code points: AES-GCM first (what the Alexa top sites actually
 //! picked), then ChaCha20-Poly1305, then CBC as the compatibility floor.
 
-use ts_crypto::dh::DhGroup;
-
 /// Key-exchange method of a suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyExchange {
@@ -184,11 +182,6 @@ impl RecordProtection {
         }
     }
 }
-
-/// The finite-field group our DHE suites negotiate, by server policy.
-/// (Real servers pick parameters; clients accept. The group never changes
-/// what the scanner measures, only byte lengths.)
-pub const DEFAULT_DH_GROUP: DhGroup = DhGroup::Sim256;
 
 #[cfg(test)]
 mod tests {

@@ -344,38 +344,29 @@ pub struct StekManager {
     active: Stek,
     retired: Vec<Stek>,
     rng: HmacDrbg,
-    /// Every STEK this manager has ever used, for the attacker model
-    /// (compromise at time T exposes whatever is *in memory* at T: active
-    /// + retired-within-overlap).
-    history: Vec<Stek>,
 }
 
 impl StekManager {
     /// Create with a fresh random key at time `now`.
     pub fn new(policy: RotationPolicy, format: TicketFormat, mut rng: HmacDrbg, now: u64) -> Self {
         let active = Stek::generate(&mut rng, now);
-        let history = vec![active.clone()];
         StekManager {
             policy,
             format,
             active,
             retired: Vec::new(),
             rng,
-            history,
         }
     }
 
     /// Create from a synchronized 48-byte key file (Static policy).
     pub fn from_key_file(bytes: &[u8; 48], format: TicketFormat, rng: HmacDrbg, now: u64) -> Self {
-        let active = Stek::from_key_file(bytes, now);
-        let history = vec![active.clone()];
         StekManager {
             policy: RotationPolicy::Static,
             format,
-            active,
+            active: Stek::from_key_file(bytes, now),
             retired: Vec::new(),
             rng,
-            history,
         }
     }
 
@@ -408,7 +399,6 @@ impl StekManager {
             if overlap > 0 {
                 self.retired.push(old);
             }
-            self.history.push(self.active.clone());
             STEK_ROTATIONS.inc();
             ts_telemetry::emit(ts_telemetry::Event::StekRotation { now: new_created });
         }
@@ -445,17 +435,12 @@ impl StekManager {
         self.active.key_name[..self.format.key_name_len()].to_vec()
     }
 
-    /// Attacker model: steal every key currently in memory.
+    /// Attacker model: steal every key currently in memory, the active
+    /// key first.
     pub fn steal_keys(&self) -> Vec<Stek> {
         let mut out = vec![self.active.clone()];
         out.extend(self.retired.iter().cloned());
         out
-    }
-
-    /// All keys ever used (ground truth for validating lifetime
-    /// estimators).
-    pub fn key_history(&self) -> &[Stek] {
-        &self.history
     }
 }
 
@@ -652,11 +637,6 @@ impl SharedStekManager {
         self.0.manager.lock().steal_keys()
     }
 
-    /// Ground-truth key history.
-    pub fn key_history(&self) -> Vec<Stek> {
-        self.0.manager.lock().key_history().to_vec()
-    }
-
     /// Same underlying manager?
     pub fn same_manager(&self, other: &SharedStekManager) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
@@ -760,13 +740,23 @@ mod tests {
         assert_eq!(b.open(&ticket, TicketFormat::Rfc5077).unwrap(), state());
     }
 
+    /// The keys an attacker would steal, as (key name, creation time).
+    fn snapshot(m: &StekManager) -> Vec<([u8; KEY_NAME_LEN], u64)> {
+        m.steal_keys()
+            .iter()
+            .map(|k| (k.key_name, k.created_at))
+            .collect()
+    }
+
     #[test]
     fn static_policy_never_rotates() {
         let mut m = StekManager::new(RotationPolicy::Static, TicketFormat::Rfc5077, rng(b"s"), 0);
-        let name0 = m.active_key_name();
-        m.tick(86_400 * 365);
-        assert_eq!(m.active_key_name(), name0);
-        assert_eq!(m.key_history().len(), 1);
+        let at_start = snapshot(&m);
+        assert_eq!(at_start.len(), 1);
+        for now in [1, 86_400, 86_400 * 365] {
+            m.tick(now);
+            assert_eq!(snapshot(&m), at_start, "at {now}");
+        }
     }
 
     #[test]
@@ -810,18 +800,33 @@ mod tests {
 
     #[test]
     fn rotation_catches_up_over_long_gaps() {
-        let mut m = StekManager::new(
-            RotationPolicy::Periodic {
-                period: 100,
-                overlap: 0,
-            },
-            TicketFormat::Rfc5077,
-            rng(b"gap"),
-            0,
-        );
-        m.tick(1000);
-        // 10 periods elapsed → 10 rotations (+1 initial key).
-        assert_eq!(m.key_history().len(), 11);
+        let manager = || {
+            StekManager::new(
+                RotationPolicy::Periodic {
+                    period: 100,
+                    overlap: 0,
+                },
+                TicketFormat::Rfc5077,
+                rng(b"gap"),
+                0,
+            )
+        };
+        // One manager ticked at every period boundary: each tick makes one
+        // new key, and no overlap keeps no retired one.
+        let mut stepped = manager();
+        let mut seen = vec![snapshot(&stepped)];
+        for k in 1..=10 {
+            stepped.tick(100 * k);
+            let keys = snapshot(&stepped);
+            assert_eq!(keys.len(), 1, "at {}", 100 * k);
+            assert_eq!(keys[0].1, 100 * k);
+            assert!(!seen.contains(&keys), "rotation {k} made a new key");
+            seen.push(keys);
+        }
+        // 10 periods elapsed in one tick → the same 10 rotations.
+        let mut jumped = manager();
+        jumped.tick(1000);
+        assert_eq!(snapshot(&jumped), snapshot(&stepped));
     }
 
     #[test]

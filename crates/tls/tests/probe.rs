@@ -570,9 +570,10 @@ fn server_refuses_a_client_key_exchange_in_an_abbreviated_handshake() {
     assert!(server.is_failed());
 }
 
-/// Creation times of every STEK the manager has used.
+/// Creation times of the keys an attacker would steal from the manager
+/// now: the active key, then the retired keys still accepted.
 fn created(stek: &SharedStekManager) -> Vec<u64> {
-    stek.key_history().iter().map(|k| k.created_at).collect()
+    stek.steal_keys().iter().map(|k| k.created_at).collect()
 }
 
 #[test]
@@ -588,6 +589,7 @@ fn abandoned_handshakes_rotate_steks_like_completed_ones() {
         overlap: 50,
     };
     let (completed, abandoned) = (stek(policy), stek(policy));
+    let mut snapshots = Vec::new();
     for now in [10, 99, 100, 101, 250, 250, 399, 520, 1_000] {
         for (manager, probe) in [(&completed, false), (&abandoned, true)] {
             let cfg = client_config(&env, ECDHE, now);
@@ -606,11 +608,22 @@ fn abandoned_handshakes_rotate_steks_like_completed_ones() {
             assert_eq!(server.is_established(), !probe);
         }
         assert_eq!(created(&completed), created(&abandoned), "at {now}");
+        snapshots.push(created(&completed));
     }
-    assert_eq!(
-        created(&completed),
-        (0..=10).map(|k| 100 * k).collect::<Vec<_>>()
-    );
+    // Each key is created one period after its predecessor, so the
+    // active key at 1,000 was reached through every rotation in between.
+    let expected: [&[u64]; 9] = [
+        &[0],
+        &[0],
+        &[100, 0],
+        &[100, 0],
+        &[200],
+        &[200],
+        &[300],
+        &[500, 400],
+        &[1_000, 900],
+    ];
+    assert_eq!(snapshots, expected);
 }
 
 #[test]
@@ -619,16 +632,19 @@ fn advancing_to_an_earlier_time_changes_nothing() {
         period: 100,
         overlap: 150,
     });
-    let keys = |s: &SharedStekManager| {
-        let names = |v: Vec<ts_tls::ticket::Stek>| -> Vec<_> {
-            v.iter().map(|k| (k.key_name, k.created_at)).collect()
-        };
-        (names(s.key_history()), names(s.steal_keys()))
+    let keys = |s: &SharedStekManager| -> Vec<_> {
+        s.steal_keys()
+            .iter()
+            .map(|k| (k.key_name, k.created_at))
+            .collect()
     };
     stek.advance(420);
     let at_420 = keys(&stek);
-    assert_eq!(at_420.0.len(), 5, "keys from 0, 100, 200, 300 and 400");
-    assert_eq!(at_420.1.len(), 3, "the active key and two in overlap");
+    assert_eq!(
+        created(&stek),
+        [400, 200, 300],
+        "active, then two in overlap"
+    );
     for t in [0, 99, 300, 419, 420] {
         stek.advance(t);
         assert_eq!(keys(&stek), at_420, "advance({t}) after advance(420)");
@@ -645,7 +661,11 @@ fn advancing_to_an_earlier_time_changes_nothing() {
     };
     stek.issue(&state, 470);
     let at_470 = keys(&stek);
-    assert_eq!(at_470.1.len(), 2, "the key from 200 left its overlap");
+    assert_eq!(
+        created(&stek),
+        [400, 300],
+        "the key from 200 left its overlap"
+    );
     for t in [421, 460, 470] {
         stek.advance(t);
         assert_eq!(keys(&stek), at_470, "advance({t}) after issue at 470");

@@ -339,7 +339,7 @@ fn main() {
         eprintln!(
             "[repro] daily campaign: {} attempts over {} days in {:.1}s \
              ({} shards, {} domain-days, {:.0} domain-days/s, \
-             peak {} live stream entries)",
+             peak {} live stream entries, {} expired sessions discarded)",
             campaign.attempts,
             campaign.days,
             wall,
@@ -347,6 +347,7 @@ fn main() {
             campaign.stats.domain_days,
             dps,
             campaign.stats.peak_live_entries,
+            campaign.stats.discarded_sessions,
         );
     }
     if args.experiment == "campaign" {
